@@ -20,9 +20,10 @@
 //
 // Determinism contract: pop_due returns entries sorted by (deadline, seq)
 // where seq is the global insertion counter -- exactly the order a
-// std::multimap yields for equal keys (insertion order). Replacing the
-// multimap with this queue therefore cannot reorder same-instant wakeups,
-// which the chaos determinism suite depends on.
+// std::multimap yields for equal keys (insertion order), so same-instant
+// wakeups are released in the order they slept. The chaos determinism suite
+// depends on it; CalendarQueue.MatchesMultimapReferenceOnRandomOps
+// (tests/test_vt.cpp) checks it against a multimap reference.
 //
 // Not thread-safe; callers (the Domain, the TaskRunner) hold their own lock.
 #pragma once

@@ -17,6 +17,15 @@ namespace gpuvm::core {
 
 namespace {
 
+/// Transfer consolidation on the swap path: dirty ranges separated by a
+/// clean gap of at most this many bytes ship as one transfer, trading a few
+/// redundant bytes for one less per-transfer PCIe latency.
+constexpr u64 kCoalesceGapBytes = 4096;
+/// Modeled charge per TLB miss on the prepare_launch path (paged engine).
+constexpr u64 kTlbMissNs = 600;
+/// Pages the prefetch policy may queue per entry per launch (paged engine).
+constexpr u64 kPrefetchLookahead = 2;
+
 obs::Histogram& swap_bytes_hist() {
   static obs::Histogram& h =
       obs::metrics().histogram(obs::names::kMmSwapBytes, obs::default_bytes_edges());
@@ -91,13 +100,15 @@ void MemoryManager::add_context(ContextId ctx) {
   mem->self = ctx;
   if (config_.paging) {
     // Per-context policy instances: stateful prefetchers learn one
-    // tenant's access pattern, never a neighbour's. Unknown names fall
-    // back to the defaults (the config is validated at the CLI boundary;
-    // here a typo must not strand a context without a victim ranking).
-    auto evict = make_eviction_policy(config_.eviction_policy);
-    mem->evict = evict ? std::move(evict).value() : make_eviction_policy("page-lru").value();
-    auto prefetch = make_prefetch_policy(config_.prefetch_policy);
-    mem->prefetch = prefetch ? std::move(prefetch).value() : make_prefetch_policy("none").value();
+    // tenant's access pattern, never a neighbour's. An unknown name leaves
+    // the slot null (entry-LRU victims, no prefetch); the Runtime refuses
+    // connections before that can happen.
+    if (auto evict = make_eviction_policy(config_.eviction_policy)) {
+      mem->evict = std::move(evict).value();
+    }
+    if (auto prefetch = make_prefetch_policy(config_.prefetch_policy)) {
+      mem->prefetch = std::move(prefetch).value();
+    }
   }
   contexts_.emplace(ctx, std::move(mem));
 }
@@ -163,12 +174,12 @@ void MemoryManager::ctx_lru_remove(CtxMem& mem) const {
 
 std::vector<ByteRange> MemoryManager::writeback_ranges(const PageTableEntry& pte) const {
   if (!config_.incremental_swap) return {ByteRange{0, pte.size}};
-  return pte.dev_dirty.coalesced(config_.coalesce_gap_bytes);
+  return pte.dev_dirty.coalesced(kCoalesceGapBytes);
 }
 
 std::vector<ByteRange> MemoryManager::upload_ranges(const PageTableEntry& pte) const {
   if (!config_.incremental_swap) return {ByteRange{0, pte.size}};
-  return pte.host_dirty.coalesced(config_.coalesce_gap_bytes);
+  return pte.host_dirty.coalesced(kCoalesceGapBytes);
 }
 
 StatusOr<VirtualPtr> MemoryManager::on_malloc(ContextId ctx, u64 size) {
@@ -772,7 +783,7 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
     if (hits > 0) tlb_hits_counter().add(hits);
     if (misses > 0) {
       tlb_misses_counter().add(misses);
-      rt_->machine().domain().sleep_for(vt::Duration{misses * config_.tlb_miss_ns});
+      rt_->machine().domain().sleep_for(vt::Duration{misses * kTlbMissNs});
     }
   }
 
@@ -795,7 +806,7 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
       // stay behind and page in when a later launch names them. All hinted
       // pages already resident: nothing to ship, no writeback fence, and no
       // bulk transfer counted (the entry stays flagged for its cold pages).
-      up.ranges = pte->host_dirty.intersected(h->second).coalesced(config_.coalesce_gap_bytes);
+      up.ranges = pte->host_dirty.intersected(h->second).coalesced(kCoalesceGapBytes);
       if (up.ranges.empty()) continue;
     } else {
       up.ranges = upload_ranges(*pte);
@@ -922,7 +933,7 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
       const PrefetchQuery q{pte->virtual_ptr, config_.page_bytes, page_count_of(*pte),
                             std::span<const u64>(t->second)};
       std::vector<u64> predicted;
-      mem->prefetch->predict(q, config_.prefetch_lookahead, &predicted);
+      mem->prefetch->predict(q, kPrefetchLookahead, &predicted);
       u64 shipped_pages = 0;
       u64 shipped_bytes = 0;
       for (const u64 p : predicted) {

@@ -7,6 +7,7 @@
 
 #include "common/log.hpp"
 #include "common/wire.hpp"
+#include "core/paging_policy.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -112,6 +113,13 @@ Runtime::Runtime(cudart::CudaRt& rt, RuntimeConfig config)
       scheduler_(std::make_unique<Scheduler>(rt, *mm_, config.scheduler)),
       global_dispatch_(std::make_unique<ContextLock>(rt.machine().domain())),
       drained_cv_(rt.machine().domain()) {
+  if (!make_eviction_policy(config_.eviction_policy).has_value() ||
+      !make_prefetch_policy(config_.prefetch_policy).has_value()) {
+    config_status_ = Status::ErrorInvalidValue;
+    log::error("runtime: unknown paging policy (eviction '%s', prefetch '%s'); refusing "
+               "connections",
+               config_.eviction_policy.c_str(), config_.prefetch_policy.c_str());
+  }
   // vGPUs for the devices installed at startup.
   const auto all = rt_->machine().all_gpus();
   for (size_t i = 0; i < all.size(); ++i) {
@@ -161,7 +169,7 @@ void Runtime::on_topology_event(sim::TopologyEvent event, GpuId gpu) {
 }
 
 std::unique_ptr<transport::MessageChannel> Runtime::connect() {
-  return connect_with(config_.frontend_costs);
+  return connect_with(transport::ChannelCosts::local_socket());
 }
 
 std::unique_ptr<transport::MessageChannel> Runtime::connect_with(
@@ -414,6 +422,10 @@ void Runtime::connection_loop(transport::MessageChannel& channel) {
     channel.send(transport::make_reply(hello_msg->connection, hello.status()));
     log::info("runtime: rejected peer with incompatible handshake (%s)",
               to_string(hello.status()));
+    return;
+  }
+  if (config_status_ != Status::Ok) {
+    channel.send(transport::make_reply(hello_msg->connection, config_status_));
     return;
   }
   // Negotiated capability set: what both sides speak (caps_mask lets tests

@@ -76,8 +76,8 @@ struct RuntimeConfig {
   /// keeps the entry-granular engine, bit-identical to prior behaviour.
   bool paging = false;
   u64 page_bytes = 64 * 1024;
-  /// Paging policy names (core/paging_policy.hpp registries); validated at
-  /// the CLI boundary, unknown names fall back to defaults inside the MM.
+  /// Paging policy names (core/paging_policy.hpp registries). An unknown
+  /// name makes the Runtime refuse every handshake with ErrorInvalidValue.
   std::string eviction_policy = "page-lru";
   std::string prefetch_policy = "stride";
 
@@ -88,9 +88,6 @@ struct RuntimeConfig {
   /// Auto-checkpoint after any kernel whose execution took at least this
   /// long (0 disables). Bounds the restart penalty after a GPU failure.
   double auto_checkpoint_after_kernel_seconds = 0.0;
-
-  /// Cost model of the frontend<->daemon hop for connect() channels.
-  transport::ChannelCosts frontend_costs = transport::ChannelCosts::local_socket();
 
   /// Attempts to re-run a context's device call on another GPU after a
   /// device failure before giving up.
@@ -271,6 +268,9 @@ class Runtime {
 
   cudart::CudaRt* rt_;
   RuntimeConfig config_;
+  /// ErrorInvalidValue when config_ names an unknown paging policy; every
+  /// handshake is then refused with it.
+  Status config_status_ = Status::Ok;
   std::unique_ptr<MemoryManager> mm_;
   std::unique_ptr<Scheduler> scheduler_;
 

@@ -29,16 +29,16 @@ obs::Histogram& held_hist() {
 double ThrashGovernor::on_window(u64 swap_bytes_delta, u64 binds_delta) {
   const double per_bind = static_cast<double>(swap_bytes_delta) /
                           static_cast<double>(binds_delta == 0 ? 1 : binds_delta);
-  if (per_bind > config_.bytes_per_bind_threshold) {
+  if (per_bind > config_.thrash_bytes_per_bind) {
     calm_windows_ = 0;
     if (quantum_ < config_.max_quantum_seconds) {
-      quantum_ = std::min(quantum_ * config_.escalation, config_.max_quantum_seconds);
+      quantum_ = std::min(quantum_ * config_.quantum_escalation, config_.max_quantum_seconds);
       ++trips_;
     }
-  } else if (quantum_ > config_.base_quantum_seconds) {
+  } else if (quantum_ > config_.quantum_seconds) {
     if (++calm_windows_ >= config_.calm_windows_before_decay) {
       calm_windows_ = 0;
-      quantum_ = std::max(config_.base_quantum_seconds, quantum_ / config_.escalation);
+      quantum_ = std::max(config_.quantum_seconds, quantum_ / config_.quantum_escalation);
     }
   } else {
     calm_windows_ = 0;
@@ -50,10 +50,7 @@ Scheduler::Scheduler(cudart::CudaRt& rt, MemoryManager& mm, Config config)
     : rt_(&rt),
       mm_(&mm),
       config_(std::move(config)),
-      governor_(ThrashGovernor::Config{config_.quantum_seconds, config_.max_quantum_seconds,
-                                       config_.thrash_bytes_per_bind,
-                                       config_.quantum_escalation,
-                                       config_.calm_windows_before_decay}),
+      governor_(config_),
       cv_(rt.machine().domain()),
       queue_wait_local_(std::vector<double>(obs::default_seconds_edges().begin(),
                                             obs::default_seconds_edges().end())),

@@ -112,16 +112,11 @@ struct SchedulerConfig {
 /// under its own lock, and tests drive it directly.
 class ThrashGovernor {
  public:
-  struct Config {
-    double base_quantum_seconds = tuning::kBaseQuantumSeconds;
-    double max_quantum_seconds = tuning::kMaxQuantumSeconds;
-    double bytes_per_bind_threshold = 256.0 * 1024.0;
-    double escalation = 2.0;
-    int calm_windows_before_decay = 2;
-  };
-
-  explicit ThrashGovernor(Config config)
-      : config_(config), quantum_(config.base_quantum_seconds) {}
+  /// Reads the SchedulerConfig preemption block: quantum_seconds (the
+  /// base), max_quantum_seconds, thrash_bytes_per_bind, quantum_escalation
+  /// and calm_windows_before_decay.
+  explicit ThrashGovernor(const SchedulerConfig& config)
+      : config_(config), quantum_(config.quantum_seconds) {}
 
   /// Feeds one observation window (swap-byte and bind deltas since the
   /// previous window) and returns the quantum to use from here on.
@@ -131,7 +126,7 @@ class ThrashGovernor {
   u64 trips() const { return trips_; }
 
  private:
-  Config config_;
+  SchedulerConfig config_;
   double quantum_;
   u64 trips_ = 0;
   int calm_windows_ = 0;

@@ -326,7 +326,6 @@ TEST_F(PagedEngineTest, WrittenHintsScopeWritebackToWrittenPages) {
 TEST_F(PagedEngineTest, SequentialPrefetchShipsPredictedPagesAsynchronously) {
   MM::Config cfg = paged_config();
   cfg.prefetch_policy = "sequential";
-  cfg.prefetch_lookahead = 2;
   MM mm(*rt_, cfg);
   const ContextId ctx{1};
   mm.add_context(ctx);

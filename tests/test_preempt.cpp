@@ -36,11 +36,11 @@ chaos::ScenarioConfig contended_scenario(u64 seed) {
 }  // namespace
 
 TEST(ThrashGovernorTest, SwapStormEscalatesUntilCeiling) {
-  core::ThrashGovernor::Config config;
-  config.base_quantum_seconds = 0.001;
+  core::SchedulerConfig config;
+  config.quantum_seconds = 0.001;
   config.max_quantum_seconds = 0.008;
-  config.bytes_per_bind_threshold = 1024.0;
-  config.escalation = 2.0;
+  config.thrash_bytes_per_bind = 1024.0;
+  config.quantum_escalation = 2.0;
   config.calm_windows_before_decay = 2;
   core::ThrashGovernor governor(config);
   EXPECT_DOUBLE_EQ(governor.quantum_seconds(), 0.001);
@@ -59,11 +59,11 @@ TEST(ThrashGovernorTest, SwapStormEscalatesUntilCeiling) {
 }
 
 TEST(ThrashGovernorTest, CalmWindowsDecayBackToBase) {
-  core::ThrashGovernor::Config config;
-  config.base_quantum_seconds = 0.001;
+  core::SchedulerConfig config;
+  config.quantum_seconds = 0.001;
   config.max_quantum_seconds = 0.008;
-  config.bytes_per_bind_threshold = 1024.0;
-  config.escalation = 2.0;
+  config.thrash_bytes_per_bind = 1024.0;
+  config.quantum_escalation = 2.0;
   config.calm_windows_before_decay = 2;
   core::ThrashGovernor governor(config);
   (void)governor.on_window(100 * 1024, 10);
@@ -89,10 +89,10 @@ TEST(ThrashGovernorTest, CalmWindowsDecayBackToBase) {
 }
 
 TEST(ThrashGovernorTest, ZeroBindWindowStillMeasuresPerBindTraffic) {
-  core::ThrashGovernor::Config config;
-  config.base_quantum_seconds = 0.001;
+  core::SchedulerConfig config;
+  config.quantum_seconds = 0.001;
   config.max_quantum_seconds = 0.008;
-  config.bytes_per_bind_threshold = 1024.0;
+  config.thrash_bytes_per_bind = 1024.0;
   core::ThrashGovernor governor(config);
   // binds_delta == 0 divides by 1 instead of faulting: the whole delta
   // counts against the threshold.

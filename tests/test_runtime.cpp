@@ -332,6 +332,21 @@ TEST_F(RuntimeTest, SynchronizeAndGoodbyeCleanUp) {
   EXPECT_EQ(machine_.gpu(machine_.all_gpus()[0])->used_bytes(), 0u);
 }
 
+TEST_F(RuntimeTest, UnknownPagingPolicyNameRefusesHandshake) {
+  RuntimeConfig bad_eviction;
+  bad_eviction.paging = true;
+  bad_eviction.eviction_policy = "no-such";
+  RuntimeConfig bad_prefetch;
+  bad_prefetch.paging = true;
+  bad_prefetch.prefetch_policy = "no-such";
+  for (const RuntimeConfig& config : {bad_eviction, bad_prefetch}) {
+    start(config);
+    FrontendApi api(runtime_->connect());
+    EXPECT_FALSE(api.connected());
+    EXPECT_EQ(api.handshake_status(), Status::ErrorInvalidValue);
+  }
+}
+
 class MigrationTest : public ::testing::Test {
  protected:
   MigrationTest() : guard_(dom_), machine_(dom_, sim::SimParams{1}) {

@@ -1,5 +1,5 @@
 // Tests for the virtual-time threading substrate (common/vt.hpp): the
-// quiescence clock under both sleeper-queue engines, the calendar queue
+// quiescence clock over its calendar sleeper queue, the calendar queue
 // itself, the cancellable Alarm, and the ScaledReal cross-check.
 #include "common/vt.hpp"
 
@@ -446,9 +446,12 @@ TEST(CalendarQueue, PastDeadlineInsertIsStillPopped) {
 }
 
 TEST(CalendarQueue, MatchesMultimapReferenceOnRandomOps) {
-  // Drive identical random insert/pop sequences into the wheel and a
-  // multimap; every pop must yield the same (deadline, seq) sequence. This
-  // is the determinism contract the chaos replay suite leans on.
+  // Drive identical random insert/erase/pop sequences into the wheel and a
+  // multimap keyed by (deadline, seq); every pop must yield the same
+  // (deadline, seq) sequence and earliest() must agree after every round.
+  // Inserts mix same-instant, near-future, far-overflow and behind-the-
+  // frontier deadlines; erases of live entries are the Alarm::cancel path.
+  // This pins the ordering contract vt::Domain's determinism rests on.
   CalendarQueue<int> q(64, 8);  // tiny wheel: maximum overflow churn
   std::multimap<std::pair<i64, u64>, int> ref;
   Rng rng(20260809);
@@ -457,13 +460,28 @@ TEST(CalendarQueue, MatchesMultimapReferenceOnRandomOps) {
   for (int round = 0; round < 2000; ++round) {
     const int inserts = static_cast<int>(rng.below(4));
     for (int i = 0; i < inserts; ++i) {
-      // Mix near-future, same-instant, and far-overflow deadlines.
-      const i64 deadline = now + static_cast<i64>(rng.below(3) == 0 ? rng.below(20'000)
-                                                                    : rng.below(300));
+      i64 deadline = 0;
+      switch (rng.below(6)) {
+        case 0: deadline = now + static_cast<i64>(rng.below(20'000)); break;
+        case 1: deadline = std::max<i64>(0, now - static_cast<i64>(rng.below(500))); break;
+        default: deadline = now + static_cast<i64>(rng.below(300)); break;
+      }
       const u64 seq = q.insert(deadline, round);
       EXPECT_EQ(seq, next_seq);
-      ref.emplace(std::make_pair(std::max(deadline, i64{0}), next_seq), round);
+      ref.emplace(std::make_pair(deadline, next_seq), round);
       ++next_seq;
+    }
+    if (!ref.empty() && rng.below(3) == 0) {
+      const auto victim = std::next(ref.begin(), static_cast<std::ptrdiff_t>(rng.below(ref.size())));
+      const auto [deadline, seq] = victim->first;
+      ref.erase(victim);
+      EXPECT_TRUE(q.erase(deadline, seq)) << "round " << round;
+      EXPECT_FALSE(q.erase(deadline, seq)) << "round " << round;  // already gone
+    }
+    if (ref.empty()) {
+      EXPECT_FALSE(q.earliest().has_value()) << "round " << round;
+    } else {
+      EXPECT_EQ(q.earliest(), ref.begin()->first.first) << "round " << round;
     }
     now += static_cast<i64>(rng.below(400));
     std::vector<CalendarQueue<int>::Entry> out;
@@ -475,32 +493,21 @@ TEST(CalendarQueue, MatchesMultimapReferenceOnRandomOps) {
     }
     ASSERT_EQ(out.size(), expect.size()) << "round " << round;
     for (size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i].deadline, expect[i].first) << "round " << round;
       EXPECT_EQ(out[i].seq, expect[i].second) << "round " << round;
     }
+    EXPECT_EQ(q.size(), ref.size()) << "round " << round;
   }
-  EXPECT_EQ(q.size(), ref.size());
 }
 
 // ---------------------------------------------------------------------------
-// Engine selection and parity: every clock behavior must hold under both the
-// calendar fast path and the legacy multimap baseline.
+// The clock over its calendar sleeper queue: sleeps that cross the wheel's
+// ring horizon (overflow parking + migration) and clock-stat counting.
 
-TEST(VtEngineSelect, ParseNames) {
-  EXPECT_EQ(Domain::parse_engine("calendar"), Domain::Engine::Calendar);
-  EXPECT_EQ(Domain::parse_engine("legacy"), Domain::Engine::Legacy);
-  EXPECT_EQ(Domain::parse_engine("multimap"), Domain::Engine::Legacy);
-  EXPECT_FALSE(Domain::parse_engine("bogus").has_value());
-  EXPECT_FALSE(Domain::parse_engine("").has_value());
-  EXPECT_STREQ(Domain::engine_name(Domain::Engine::Calendar), "calendar");
-  EXPECT_STREQ(Domain::engine_name(Domain::Engine::Legacy), "legacy");
-}
-
-class VtEngineParity : public ::testing::TestWithParam<Domain::Engine> {};
-
-TEST_P(VtEngineParity, SleepsSpanningWheelHorizonWakeInOrder) {
-  // Durations straddle the calendar's ~67ms ring horizon, so the calendar
-  // engine exercises overflow parking + migration while legacy just sorts.
-  Domain dom(Mode::Virtual, 1e-3, GetParam());
+TEST(VtCalendarClock, SleepsSpanningWheelHorizonWakeInOrder) {
+  // Durations straddle the calendar's ~67ms ring horizon, so wakes come
+  // from both the ring and the overflow map.
+  Domain dom;
   const double millis[] = {100.0, 1.0, 500.0, 0.01, 67.0, 200.0, 3.5, 1000.0};
   std::mutex mu;
   std::vector<double> order;
@@ -521,8 +528,8 @@ TEST_P(VtEngineParity, SleepsSpanningWheelHorizonWakeInOrder) {
   EXPECT_EQ(dom.now(), from_millis(1000.0));
 }
 
-TEST_P(VtEngineParity, ClockStatsCountAdvancesAndWakes) {
-  Domain dom(Mode::Virtual, 1e-3, GetParam());
+TEST(VtCalendarClock, ClockStatsCountAdvancesAndWakes) {
+  Domain dom;
   AttachGuard guard(dom);
   for (int i = 0; i < 5; ++i) dom.sleep_for(from_millis(1));
   const Domain::ClockStats stats = dom.clock_stats();
@@ -531,10 +538,10 @@ TEST_P(VtEngineParity, ClockStatsCountAdvancesAndWakes) {
   EXPECT_EQ(stats.sleepers_peak, 1u);
 }
 
-TEST_P(VtEngineParity, StressManyThreadsHorizonCrossingSleeps) {
+TEST(VtCalendarClock, StressManyThreadsHorizonCrossingSleeps) {
   // TSan target: concurrent sleeps whose durations are scattered across the
   // wheel ring, the overflow map, and same-instant collisions.
-  Domain dom(Mode::Virtual, 1e-3, GetParam());
+  Domain dom;
   std::atomic<int> completed{0};
   {
     std::vector<Thread> threads;
@@ -558,10 +565,6 @@ TEST_P(VtEngineParity, StressManyThreadsHorizonCrossingSleeps) {
   EXPECT_GE(stats.events_dispatched, 12u * 40u);
   EXPECT_GE(stats.sleepers_peak, 1u);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothEngines, VtEngineParity,
-                         ::testing::Values(Domain::Engine::Calendar, Domain::Engine::Legacy),
-                         [](const auto& info) { return Domain::engine_name(info.param); });
 
 // ---------------------------------------------------------------------------
 // Alarm: the cancellable one-shot deadline the TaskRunner pump parks on.
