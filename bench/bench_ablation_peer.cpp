@@ -21,7 +21,9 @@ void MigrationPath(benchmark::State& state, bool peer) {
     const GpuId g1 = machine.add_gpu(sim::test_gpu(64 << 20));
     const GpuId g2 = machine.add_gpu(sim::test_gpu(64 << 20));
     cudart::CudaRt rt(machine, cudart::CudaRtConfig{4 * 1024, 8});
-    core::MemoryManager mm(rt, core::MemoryManager::Config{true, peer});
+    core::MemoryConfig config;
+    config.cuda4_semantics = peer;
+    core::MemoryManager mm(rt, config);
     const ClientId slot1 = rt.create_client();
     (void)rt.set_device(slot1, 0);
     const ClientId slot2 = rt.create_client();

@@ -23,6 +23,8 @@ namespace {
 constexpr u64 kCoalesceGapBytes = 4096;
 /// Modeled charge per TLB miss on the prepare_launch path (paged engine).
 constexpr u64 kTlbMissNs = 600;
+/// Per-context TLB capacity in (entry, page) translations (paged engine).
+constexpr u64 kTlbEntries = 64;
 /// Pages the prefetch policy may queue per entry per launch (paged engine).
 constexpr u64 kPrefetchLookahead = 2;
 
@@ -91,24 +93,21 @@ obs::Histogram& page_fault_seconds_hist() {
 
 }  // namespace
 
-MemoryManager::MemoryManager(cudart::CudaRt& rt, Config config) : rt_(&rt), config_(config) {
-  if (config_.page_bytes == 0) config_.page_bytes = 64 * 1024;
-}
+MemoryManager::MemoryManager(cudart::CudaRt& rt, MemoryConfig config)
+    : rt_(&rt), config_(std::move(config)) {}
 
 void MemoryManager::add_context(ContextId ctx) {
   auto mem = std::make_shared<CtxMem>();
   mem->self = ctx;
-  if (config_.paging) {
-    // Per-context policy instances: stateful prefetchers learn one
-    // tenant's access pattern, never a neighbour's. An unknown name leaves
-    // the slot null (entry-LRU victims, no prefetch); the Runtime refuses
-    // connections before that can happen.
-    if (auto evict = make_eviction_policy(config_.eviction_policy)) {
-      mem->evict = std::move(evict).value();
-    }
-    if (auto prefetch = make_prefetch_policy(config_.prefetch_policy)) {
-      mem->prefetch = std::move(prefetch).value();
-    }
+  // Per-context policy instances: stateful prefetchers learn one tenant's
+  // access pattern, never a neighbour's. An unknown name leaves the slot
+  // null and fails the context's launches; the Runtime refuses connections
+  // before that can happen.
+  if (auto evict = make_eviction_policy(config_.eviction_policy)) {
+    mem->evict = std::move(evict).value();
+  }
+  if (auto prefetch = make_prefetch_policy(config_.prefetch_policy)) {
+    mem->prefetch = std::move(prefetch).value();
   }
   contexts_.emplace(ctx, std::move(mem));
 }
@@ -328,7 +327,7 @@ bool MemoryManager::tlb_access(CtxMem& mem, const PageTableEntry& pte, u64 page)
     tlb.order.emplace(tick, key);
     return true;
   }
-  if (config_.tlb_entries > 0 && tlb.slot.size() >= config_.tlb_entries) {
+  if (tlb.slot.size() >= kTlbEntries) {
     const auto lru = tlb.order.begin();
     tlb.slot.erase(lru->second);
     tlb.order.erase(lru);
@@ -409,18 +408,8 @@ Status MemoryManager::on_free(ContextId ctx, VirtualPtr ptr) {
   const auto it = mem->entries.find(ptr);  // frees must name the base address
   if (it == mem->entries.end()) return Status::ErrorNoValidPte;
   PageTableEntry* pte = it->second.get();
-  if (pte->is_allocated) {
-    // Table 1: "If (PTE.isAllocated) cudaFree".
-    (void)rt_->free(pte->owner_client, pte->device_ptr);
-    if (config_.paging) tlb_flush_entry(*mem, *pte);
-    lru_remove(*mem, *pte);
-    // Decide "all resident bytes gone" from the fetch_sub return value: a
-    // separate load could observe a concurrent query's interleaving.
-    if (mem->resident_bytes.fetch_sub(pte->size, std::memory_order_relaxed) == pte->size) {
-      mem->resident_gpu.store(0, std::memory_order_relaxed);
-      ctx_lru_remove(*mem);
-    }
-  }
+  // Table 1: "If (PTE.isAllocated) cudaFree".
+  if (pte->is_allocated) release_device(*mem, *pte);
   mem->total_bytes.fetch_sub(pte->size, std::memory_order_relaxed);
   if (mem->epoch.active) {
     mem->epoch.dirty.erase(ptr);
@@ -546,21 +535,29 @@ Status MemoryManager::swap_entry(CtxMem& mem, PageTableEntry& pte) {
     sync = sync_to_swap(pte);  // costed writeback when dirty
   }
   if (!pte.nested.empty()) rewrite_nested_to_virtual(mem, pte);
-  (void)rt_->free(pte.owner_client, pte.device_ptr);
-  pte.is_allocated = false;
-  pte.device_ptr = kNullDevicePtr;
+  release_device(mem, pte);
   pte.to_copy_2_dev = true;  // next use re-materializes from swap
   pte.dev_dirty.clear();     // the device copy is gone
   pte.host_dirty.clear();    // recomputed from swap_valid at re-materialization
   if (config_.paging) {
-    // Translations die with the device copy; an in-flight prefetch into it
-    // is moot (content already landed in the block we just freed). The
-    // page-use stamps survive: they still describe the entry's heat.
-    tlb_flush_entry(mem, pte);
-    pte.upload_done = vt::TimePoint{};
+    // The page-use stamps survive: they still describe the entry's heat.
     stats_.page_evictions.fetch_add(page_count_of(pte), std::memory_order_relaxed);
     page_evictions_counter().add(page_count_of(pte));
   }
+  stats_.swapped_entries.fetch_add(1, std::memory_order_relaxed);
+  stats_.swap_bytes.fetch_add(pte.size, std::memory_order_relaxed);
+  swap_bytes_hist().observe(static_cast<double>(pte.size));
+  return sync == Status::ErrorDeviceUnavailable ? Status::Ok : sync;
+}
+
+void MemoryManager::release_device(CtxMem& mem, PageTableEntry& pte) {
+  (void)rt_->free(pte.owner_client, pte.device_ptr);
+  pte.is_allocated = false;
+  pte.device_ptr = kNullDevicePtr;
+  // Translations die with the device copy; an in-flight prefetch into it is
+  // moot (content already landed in the block just freed).
+  tlb_flush_entry(mem, pte);
+  pte.upload_done = vt::TimePoint{};
   lru_remove(mem, pte);
   // fetch_sub's return value decides "all resident bytes gone": a separate
   // load could race with a concurrent materialization elsewhere.
@@ -568,10 +565,6 @@ Status MemoryManager::swap_entry(CtxMem& mem, PageTableEntry& pte) {
     mem.resident_gpu.store(0, std::memory_order_relaxed);
     ctx_lru_remove(mem);
   }
-  stats_.swapped_entries.fetch_add(1, std::memory_order_relaxed);
-  stats_.swap_bytes.fetch_add(pte.size, std::memory_order_relaxed);
-  swap_bytes_hist().observe(static_cast<double>(pte.size));
-  return sync == Status::ErrorDeviceUnavailable ? Status::Ok : sync;
 }
 
 MemoryManager::PrepareResult MemoryManager::prepare_launch(
@@ -580,6 +573,10 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
   CtxMemPtr mem = find(ctx);
   if (mem == nullptr) {
     result.error = Status::ErrorNoValidPte;
+    return result;
+  }
+  if (mem->evict == nullptr || mem->prefetch == nullptr) {
+    result.error = Status::ErrorInvalidValue;  // unknown policy name (add_context)
     return result;
   }
   const vt::TimePoint now_stamp = rt_->machine().domain().now();
@@ -663,7 +660,7 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
     // otherwise.
     if (pte->is_allocated) {
       if (GpuId{pte->resident_gpu} != gpu) {
-        if (config_.direct_peer_transfers && try_peer_move(*mem, *pte, gpu, client)) {
+        if (config_.cuda4_semantics && try_peer_move(*mem, *pte, gpu, client)) {
           lru_touch(*mem, *pte, now_stamp);
           continue;
         }
@@ -704,35 +701,26 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
         return result;
       }
       // Intra-application swap: evict this context's own resident entries
-      // that this launch does not reference (LRU first). This is what lets
-      // a single app exceed device capacity (section 4.5's matmul example).
-      // The indexed LRU walks in (last_use, vptr) order, so the first
-      // eligible entry is the one the old O(entries) scan picked.
+      // that this launch does not reference. This is what lets a single app
+      // exceed device capacity (section 4.5's matmul example). Policy-scored
+      // ranking over every evictable candidate; smallest score evicts.
+      // Strict less-than keeps the first-seen candidate on ties, and the
+      // indexed LRU walks in (last_use, vptr) order, so identical runs pick
+      // identical victims. Without page stamps (the entry engine never sets
+      // them) every built-in policy scores by the entry LRU stamp, so the
+      // victim is the first eligible entry of that walk.
       PageTableEntry* victim = nullptr;
-      if (config_.paging && mem->evict != nullptr) {
-        // Policy-scored victim ranking over every evictable candidate;
-        // smallest score evicts. Strict less-than keeps the first-seen
-        // candidate on ties, and the (last_use, vptr) walk order is
-        // deterministic, so identical runs pick identical victims.
-        double best = 0.0;
-        for (const auto& [key, candidate] : mem->lru) {
-          if (needed.count(candidate) != 0) continue;
-          if (GpuId{candidate->resident_gpu} != gpu) continue;
-          const EvictionCandidate c{candidate->virtual_ptr, candidate->size,
-                                    config_.page_bytes, candidate->last_use.count(),
-                                    std::span<const i64>(candidate->page_use_ns)};
-          const double score = mem->evict->score(c, now_stamp.count());
-          if (victim == nullptr || score < best) {
-            victim = candidate;
-            best = score;
-          }
-        }
-      } else {
-        for (const auto& [key, candidate] : mem->lru) {
-          if (needed.count(candidate) != 0) continue;
-          if (GpuId{candidate->resident_gpu} != gpu) continue;
+      double best = 0.0;
+      for (const auto& [key, candidate] : mem->lru) {
+        if (needed.count(candidate) != 0) continue;
+        if (GpuId{candidate->resident_gpu} != gpu) continue;
+        const EvictionCandidate c{candidate->virtual_ptr, candidate->size, config_.page_bytes,
+                                  candidate->last_use.count(),
+                                  std::span<const i64>(candidate->page_use_ns)};
+        const double score = mem->evict->score(c, now_stamp.count());
+        if (victim == nullptr || score < best) {
           victim = candidate;
-          break;
+          best = score;
         }
       }
       if (victim == nullptr) {
@@ -925,7 +913,7 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
   // entry fences on upload_done. Content lands immediately -- predictions
   // can only move modeled time, never change results. Only pages swap
   // holds newer data for actually ship.
-  if (config_.paging && mem->prefetch != nullptr) {
+  if (config_.paging) {
     for (PageTableEntry* pte : closure) {
       if (hint_needed.find(pte) == hint_needed.end()) continue;
       const auto t = touched.find(pte);
@@ -1045,10 +1033,8 @@ void MemoryManager::on_device_lost(ContextId ctx, GpuId gpu) {
                                  // checkpoint is lost
     pte->dev_dirty.clear();      // lost with the device
     pte->host_dirty.clear();     // recomputed from swap_valid on re-materialization
-    if (config_.paging) {
-      tlb_flush_entry(*mem, *pte);
-      pte->upload_done = vt::TimePoint{};
-    }
+    tlb_flush_entry(*mem, *pte);
+    pte->upload_done = vt::TimePoint{};
     lru_remove(*mem, *pte);
     mem->resident_bytes.fetch_sub(pte->size, std::memory_order_relaxed);
   }
@@ -1316,14 +1302,7 @@ Status MemoryManager::apply_migration_delta(ContextId ctx, std::span<const u8> d
     const auto it = mem->entries.find(vptr);
     if (it == mem->entries.end()) continue;  // freed before it ever shipped
     PageTableEntry* pte = it->second.get();
-    if (pte->is_allocated) {
-      (void)rt_->free(pte->owner_client, pte->device_ptr);
-      lru_remove(*mem, *pte);
-      if (mem->resident_bytes.fetch_sub(pte->size, std::memory_order_relaxed) == pte->size) {
-        mem->resident_gpu.store(0, std::memory_order_relaxed);
-        ctx_lru_remove(*mem);
-      }
-    }
+    if (pte->is_allocated) release_device(*mem, *pte);
     mem->total_bytes.fetch_sub(pte->size, std::memory_order_relaxed);
     mem->entries.erase(it);
   }

@@ -28,9 +28,9 @@
 // relaxed atomics. The only remaining cross-tenant serialization is the
 // scheduler and the device engines themselves.
 //
-// Asynchronous swap write-back (Config::async_writeback): evicting a dirty
-// entry snapshots the device bytes into swap immediately (the staging copy
-// of a pinned-buffer write-behind) and reserves the copy engine without
+// Asynchronous swap write-back (MemoryConfig::async_writeback): evicting a
+// dirty entry snapshots the device bytes into swap immediately (the staging
+// copy of a pinned-buffer write-behind) and reserves the copy engine without
 // blocking -- the evictor overlaps the D2H drain with its own kernel work.
 // Paths that *consume* swap bytes (copyDH, bulk re-materialization, image
 // export) fence on the entry's modeled drain completion, so no reader ever
@@ -85,7 +85,7 @@ struct PageTableEntry {
   /// nothing in flight.
   vt::TimePoint writeback_done{};
 
-  // ---- Incremental swap-engine state (Config::incremental_swap) ----------
+  // ---- Incremental swap-engine state (MemoryConfig::incremental_swap) ----
   // The three interval sets refine the boolean flags to byte granularity.
   // Discipline: a byte is dirty in at most one direction at a time -- a
   // partial host write to a device-dirty entry syncs the device ranges into
@@ -109,7 +109,7 @@ struct PageTableEntry {
   /// free. Survives swap-out, device loss and checkpoint/restore.
   IntervalSet swap_valid;
 
-  // ---- Paged-engine state (Config::paging) --------------------------------
+  // ---- Paged-engine state (MemoryConfig::paging) --------------------------
   // Pure performance metadata: never serialized (checkpoint images and
   // migration deltas are engine-agnostic) and never consulted for content
   // decisions -- losing it costs extra transfers, not correctness.
@@ -139,7 +139,7 @@ struct MemStats {
   u64 dirty_bytes_saved = 0; ///< bytes the incremental engine did not move
   u64 clean_swap_skips = 0;  ///< evictions that skipped the D2H entirely
   u64 preempt_swaps = 0;     ///< whole-context swap-outs on quantum expiry
-  // Paged engine (Config::paging); all zero in entry-granular mode.
+  // Paged engine (MemoryConfig::paging); all zero in entry-granular mode.
   u64 page_faults = 0;       ///< pages uploaded synchronously at launch
   u64 tlb_hits = 0;
   u64 tlb_misses = 0;
@@ -147,51 +147,56 @@ struct MemStats {
   u64 page_evictions = 0;    ///< pages freed by victim eviction
 };
 
+/// Memory-manager settings. RuntimeConfig inherits this struct, so a
+/// daemon's config hands it to the MemoryManager verbatim.
+struct MemoryConfig {
+  /// Defer host->device transfers until kernel launch (the paper's
+  /// default experimental configuration). When false, copies go straight
+  /// to the device once the entry is materialized (overlap-friendly,
+  /// higher swap cost).
+  bool defer_transfers = true;
+  /// CUDA 4.0 semantics (paper section 4.8): migrate entries between
+  /// healthy devices with a direct GPU-to-GPU copy instead of a swap round
+  /// trip ("faster thread-to-GPU remapping"); the Runtime additionally
+  /// shares one context among connections carrying the same application id.
+  bool cuda4_semantics = false;
+  /// Overlap eviction D2H write-backs with subsequent work instead of
+  /// blocking the evictor (see the header comment). Readers of the swap
+  /// bytes fence on the modeled drain completion.
+  bool async_writeback = true;
+  /// Incremental swap engine: move only dirty byte intervals on the swap
+  /// path (write-back the kernel's write-set, upload only invalidated /
+  /// validated ranges) instead of whole entries. False restores the naive
+  /// whole-buffer baseline for ablation (bench_swap).
+  bool incremental_swap = true;
+
+  // ---- Paged engine -------------------------------------------------------
+
+  /// Page-granular residency: launch-path uploads, dirty marking, victim
+  /// ranking and prefetch operate on fixed-size pages scoped by the
+  /// launch's AccessHint annotations, with a per-context TLB model
+  /// charging miss costs on prepare_launch. Device allocations stay
+  /// whole-entry contiguous (kernel bodies address one span); pages
+  /// govern what *moves* and what *ages*, not where bytes live. False
+  /// keeps the entry-granular engine, byte-identical to pre-paging
+  /// behaviour (hints are ignored entirely).
+  bool paging = false;
+  /// Fixed page size of the paged engine. Must be nonzero: the Runtime
+  /// refuses every handshake when it is 0.
+  u64 page_bytes = 64 * 1024;
+  /// Victim-ranking policy (core/paging_policy.hpp). Ranks intra-app swap
+  /// victims in both engines; without page stamps every built-in ranks by
+  /// the entry LRU stamp. An unknown name makes the Runtime refuse every
+  /// handshake with ErrorInvalidValue.
+  std::string eviction_policy = "page-lru";
+  /// Page-in prediction policy; "none" = demand paging only.
+  std::string prefetch_policy = "stride";
+};
+
 class MemoryManager {
  public:
-  struct Config {
-    /// Defer host->device transfers until kernel launch (the paper's
-    /// default experimental configuration). When false, copies go straight
-    /// to the device once the entry is materialized (overlap-friendly,
-    /// higher swap cost).
-    bool defer_transfers = true;
-    /// CUDA 4.0 mode (paper section 4.8): migrate entries between healthy
-    /// devices with a direct GPU-to-GPU copy instead of a swap round trip
-    /// ("faster thread-to-GPU remapping").
-    bool direct_peer_transfers = false;
-    /// Overlap eviction D2H write-backs with subsequent work instead of
-    /// blocking the evictor (see the header comment). Readers of the swap
-    /// bytes fence on the modeled drain completion.
-    bool async_writeback = true;
-    /// Incremental swap engine: move only dirty byte intervals on the swap
-    /// path (write-back the kernel's write-set, upload only invalidated /
-    /// validated ranges) instead of whole entries. False restores the naive
-    /// whole-buffer baseline for ablation (bench_swap).
-    bool incremental_swap = true;
-
-    // ---- Paged engine -----------------------------------------------------
-
-    /// Page-granular residency: launch-path uploads, dirty marking, victim
-    /// ranking and prefetch operate on fixed-size pages scoped by the
-    /// launch's AccessHint annotations, with a per-context TLB model
-    /// charging miss costs on prepare_launch. Device allocations stay
-    /// whole-entry contiguous (kernel bodies address one span); pages
-    /// govern what *moves* and what *ages*, not where bytes live. False
-    /// keeps the entry-granular engine, byte-identical to pre-paging
-    /// behaviour (hints are ignored entirely).
-    bool paging = false;
-    /// Fixed page size of the paged engine.
-    u64 page_bytes = 64 * 1024;
-    /// Per-context TLB capacity in (entry, page) translations.
-    u64 tlb_entries = 64;
-    /// Victim-ranking policy (core/paging_policy.hpp registry).
-    std::string eviction_policy = "page-lru";
-    /// Page-in prediction policy; "none" = demand paging only.
-    std::string prefetch_policy = "stride";
-  };
-
-  explicit MemoryManager(cudart::CudaRt& rt) : MemoryManager(rt, Config{}) {}
-  MemoryManager(cudart::CudaRt& rt, Config config);
+  explicit MemoryManager(cudart::CudaRt& rt) : MemoryManager(rt, MemoryConfig{}) {}
+  MemoryManager(cudart::CudaRt& rt, MemoryConfig config);
 
   // ---- Context lifecycle ---------------------------------------------------
   void add_context(ContextId ctx);
@@ -306,7 +311,6 @@ class MemoryManager {
   MemStats stats() const;
   /// Page-table shard-lock acquisitions that found the shard busy.
   u64 shard_contention() const { return contexts_.contention(); }
-  Config config() const { return config_; }
 
  private:
   /// Pre-copy dirty tracking for one migration attempt. Guarded -- like
@@ -335,7 +339,7 @@ class MemoryManager {
     std::atomic<i64> last_use_ns{0};
     MigrationEpoch epoch;  ///< guarded by the caller's ContextLock
 
-    // ---- Paged-engine per-context state (Config::paging) --------------------
+    // ---- Paged-engine per-context state (MemoryConfig::paging) --------------
     // Guarded -- like `entries` -- by the caller's ContextLock. Deterministic
     // by construction: the LRU order is a tick counter bumped per access,
     // never wall-clock, so identical launch sequences replay identical
@@ -349,8 +353,8 @@ class MemoryManager {
     };
     Tlb tlb;
     /// Per-context policy instances (stateful prefetchers must not share
-    /// observations across tenants). Null when paging is off or the
-    /// prefetch policy is "none".
+    /// observations across tenants). Null only when the configured name is
+    /// unknown; prepare_launch then fails with ErrorInvalidValue.
     std::unique_ptr<EvictionPolicy> evict;
     std::unique_ptr<PrefetchPolicy> prefetch;
   };
@@ -398,6 +402,12 @@ class MemoryManager {
   /// async_writeback the D2H drain overlaps the caller's subsequent work.
   Status swap_entry(CtxMem& mem, PageTableEntry& pte);
 
+  /// Frees the entry's device block and dissolves its residency: TLB
+  /// translations, in-flight prefetch, LRU slot and resident-byte
+  /// accounting (dropping the context from the LRU directory when nothing
+  /// stays resident). Leaves the swap-side flags to the caller.
+  void release_device(CtxMem& mem, PageTableEntry& pte);
+
   /// CUDA 4 direct migration of one resident entry to `gpu`; false on any
   /// obstacle (caller falls back to the swap path).
   bool try_peer_move(CtxMem& mem, PageTableEntry& pte, GpuId gpu, ClientId client);
@@ -436,7 +446,7 @@ class MemoryManager {
   void stamp_pages(PageTableEntry& pte, const std::vector<u64>& pages, i64 now_ns);
 
   cudart::CudaRt* rt_;
-  Config config_;
+  MemoryConfig config_;
 
   /// Per-context page tables, sharded by context id: tenants' memory ops
   /// touch only their own shard (leaf lock, held for map lookup only).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <mutex>
 
 #include "common/tuning.hpp"
 
@@ -118,75 +117,60 @@ class StridePrefetch : public PrefetchPolicy {
   std::map<u64, i64> last_page_;  ///< entry vptr -> last accessed page
 };
 
-// ---- Registries -------------------------------------------------------------
+// ---- Built-in tables --------------------------------------------------------
 
-template <typename Factory>
-struct Registry {
-  std::mutex mu;
-  std::map<std::string, Factory> factories;
-};
-
-Registry<EvictionPolicyFactory>& eviction_registry() {
-  static Registry<EvictionPolicyFactory>* r = [] {
-    auto* reg = new Registry<EvictionPolicyFactory>();
-    reg->factories["page-lru"] = [] { return std::make_unique<PageLruEviction>(); };
-    reg->factories["working-set"] = [] { return std::make_unique<WorkingSetEviction>(); };
-    return reg;
-  }();
-  return *r;
+template <typename Base, typename Policy>
+std::unique_ptr<Base> create() {
+  return std::make_unique<Policy>();
 }
 
-Registry<PrefetchPolicyFactory>& prefetch_registry() {
-  static Registry<PrefetchPolicyFactory>* r = [] {
-    auto* reg = new Registry<PrefetchPolicyFactory>();
-    reg->factories["none"] = [] { return std::make_unique<NoPrefetch>(); };
-    reg->factories["sequential"] = [] { return std::make_unique<SequentialPrefetch>(); };
-    reg->factories["stride"] = [] { return std::make_unique<StridePrefetch>(); };
-    return reg;
-  }();
-  return *r;
+/// A fixed name -> factory table (std::map keeps the names sorted).
+template <typename Base>
+using Table = std::map<std::string, std::unique_ptr<Base> (*)()>;
+
+const Table<EvictionPolicy>& eviction_table() {
+  static const Table<EvictionPolicy> t{
+      {"page-lru", create<EvictionPolicy, PageLruEviction>},
+      {"working-set", create<EvictionPolicy, WorkingSetEviction>},
+  };
+  return t;
 }
 
-template <typename Factory>
-std::vector<std::string> names_of(Registry<Factory>& reg) {
-  std::lock_guard lk(reg.mu);
+const Table<PrefetchPolicy>& prefetch_table() {
+  static const Table<PrefetchPolicy> t{
+      {"none", create<PrefetchPolicy, NoPrefetch>},
+      {"sequential", create<PrefetchPolicy, SequentialPrefetch>},
+      {"stride", create<PrefetchPolicy, StridePrefetch>},
+  };
+  return t;
+}
+
+template <typename Base>
+StatusOr<std::unique_ptr<Base>> make_from(const Table<Base>& table, const std::string& name) {
+  const auto it = table.find(name);
+  if (it == table.end()) return Status::ErrorInvalidValue;
+  return it->second();
+}
+
+template <typename Base>
+std::vector<std::string> names_of(const Table<Base>& table) {
   std::vector<std::string> names;
-  names.reserve(reg.factories.size());
-  for (const auto& [name, factory] : reg.factories) names.push_back(name);
+  names.reserve(table.size());
+  for (const auto& [name, factory] : table) names.push_back(name);
   return names;
 }
 
 }  // namespace
 
-void register_eviction_policy(const std::string& name, EvictionPolicyFactory factory) {
-  auto& reg = eviction_registry();
-  std::lock_guard lk(reg.mu);
-  reg.factories[name] = std::move(factory);
-}
-
-void register_prefetch_policy(const std::string& name, PrefetchPolicyFactory factory) {
-  auto& reg = prefetch_registry();
-  std::lock_guard lk(reg.mu);
-  reg.factories[name] = std::move(factory);
-}
-
 StatusOr<std::unique_ptr<EvictionPolicy>> make_eviction_policy(const std::string& name) {
-  auto& reg = eviction_registry();
-  std::lock_guard lk(reg.mu);
-  const auto it = reg.factories.find(name);
-  if (it == reg.factories.end()) return Status::ErrorInvalidValue;
-  return it->second();
+  return make_from(eviction_table(), name);
 }
 
 StatusOr<std::unique_ptr<PrefetchPolicy>> make_prefetch_policy(const std::string& name) {
-  auto& reg = prefetch_registry();
-  std::lock_guard lk(reg.mu);
-  const auto it = reg.factories.find(name);
-  if (it == reg.factories.end()) return Status::ErrorInvalidValue;
-  return it->second();
+  return make_from(prefetch_table(), name);
 }
 
-std::vector<std::string> eviction_policy_names() { return names_of(eviction_registry()); }
-std::vector<std::string> prefetch_policy_names() { return names_of(prefetch_registry()); }
+std::vector<std::string> eviction_policy_names() { return names_of(eviction_table()); }
+std::vector<std::string> prefetch_policy_names() { return names_of(prefetch_table()); }
 
 }  // namespace gpuvm::core

@@ -1,11 +1,12 @@
 // Pluggable paging policies for the page-granular memory engine.
 //
-// Mirrors core/sched_policy.hpp: a policy is an object behind a
-// process-wide factory registry keyed by a short name, selected by name
-// from MemoryManager::Config (and the gpuvmd / bench command lines). Two
-// policy kinds plug into the paged engine (MmConfig::paging):
+// Mirrors core/sched_policy.hpp: a policy is an object behind a fixed
+// factory table keyed by a short name, selected by name from MemoryConfig
+// (and the gpuvmd / bench command lines). Two policy kinds plug into the
+// memory manager:
 //
-//   EvictionPolicy -- ranks intra-application swap victims. The device
+//   EvictionPolicy -- ranks intra-application swap victims, in both the
+//   entry-granular and the paged engine (MemoryConfig::paging). The device
 //   allocation stays whole-entry contiguous (kernel bodies address one
 //   span), so the policy ranks *entries*, but it sees the per-page
 //   last-use stamps the paged engine maintains and may rank by page
@@ -22,7 +23,6 @@
 // bit-identical with paging enabled.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -50,7 +50,7 @@ class EvictionPolicy {
  public:
   virtual ~EvictionPolicy() = default;
 
-  /// The registry name this policy was created under.
+  /// The table name this policy was created under.
   virtual const char* name() const = 0;
 
   /// Victim score: the candidate with the *smallest* score is evicted
@@ -79,31 +79,24 @@ class PrefetchPolicy {
   virtual void predict(const PrefetchQuery& q, u64 lookahead, std::vector<u64>* out) = 0;
 };
 
-using EvictionPolicyFactory = std::function<std::unique_ptr<EvictionPolicy>()>;
-using PrefetchPolicyFactory = std::function<std::unique_ptr<PrefetchPolicy>()>;
-
-/// Registers a policy factory under `name` (later registration wins, so
-/// tests can shadow a built-in). Built-in eviction policies:
+/// Built-in policies, fixed name tables. Eviction:
 ///   page-lru    -- evict the entry whose hottest page is coldest; entries
 ///                  without page stamps rank by their entry LRU stamp
 ///                  (bit-identical to the entry-granular LRU baseline)
 ///   working-set -- evict the entry with the fewest pages touched inside
 ///                  the working-set window, page-LRU on ties
-void register_eviction_policy(const std::string& name, EvictionPolicyFactory factory);
-
-/// Built-in prefetch policies:
+/// Prefetch:
 ///   none       -- demand paging only
 ///   sequential -- page in the pages following the highest accessed page
 ///   stride     -- detect a uniform page stride (within a launch, or
 ///                 between consecutive launches) and page in along it
-void register_prefetch_policy(const std::string& name, PrefetchPolicyFactory factory);
-
+///
 /// Creates a fresh policy instance by name. Unknown names are a typed
 /// error (Status::ErrorInvalidValue), never a silent fallback.
 StatusOr<std::unique_ptr<EvictionPolicy>> make_eviction_policy(const std::string& name);
 StatusOr<std::unique_ptr<PrefetchPolicy>> make_prefetch_policy(const std::string& name);
 
-/// Registered policy names, sorted (CLI help / error messages).
+/// Built-in policy names, sorted (CLI help / error messages).
 std::vector<std::string> eviction_policy_names();
 std::vector<std::string> prefetch_policy_names();
 

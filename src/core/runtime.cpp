@@ -98,27 +98,19 @@ class DispatchGuard {
 Runtime::Runtime(cudart::CudaRt& rt, RuntimeConfig config)
     : rt_(&rt),
       config_(config),
-      mm_(std::make_unique<MemoryManager>(rt, [&config] {
-        MemoryManager::Config mc;
-        mc.defer_transfers = config.defer_transfers;
-        mc.direct_peer_transfers = config.cuda4_semantics;
-        mc.async_writeback = config.async_writeback;
-        mc.incremental_swap = config.incremental_swap;
-        mc.paging = config.paging;
-        mc.page_bytes = config.page_bytes;
-        mc.eviction_policy = config.eviction_policy;
-        mc.prefetch_policy = config.prefetch_policy;
-        return mc;
-      }())),
+      mm_(std::make_unique<MemoryManager>(rt, config)),
       scheduler_(std::make_unique<Scheduler>(rt, *mm_, config.scheduler)),
       global_dispatch_(std::make_unique<ContextLock>(rt.machine().domain())),
       drained_cv_(rt.machine().domain()) {
   if (!make_eviction_policy(config_.eviction_policy).has_value() ||
-      !make_prefetch_policy(config_.prefetch_policy).has_value()) {
+      !make_prefetch_policy(config_.prefetch_policy).has_value() ||
+      scheduler_->policy_status() != Status::Ok || config_.page_bytes == 0) {
     config_status_ = Status::ErrorInvalidValue;
-    log::error("runtime: unknown paging policy (eviction '%s', prefetch '%s'); refusing "
-               "connections",
-               config_.eviction_policy.c_str(), config_.prefetch_policy.c_str());
+    log::error("runtime: invalid config (eviction '%s', prefetch '%s', scheduler '%s', "
+               "page_bytes %llu); refusing connections",
+               config_.eviction_policy.c_str(), config_.prefetch_policy.c_str(),
+               config_.scheduler.policy.c_str(),
+               static_cast<unsigned long long>(config_.page_bytes));
   }
   // vGPUs for the devices installed at startup.
   const auto all = rt_->machine().all_gpus();

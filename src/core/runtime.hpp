@@ -52,34 +52,18 @@ enum class DispatchMode {
   Sharded,
 };
 
-struct RuntimeConfig {
+/// The daemon's settings. The memory-manager fields (transfer deferral,
+/// swap engine, paging, CUDA 4 semantics) are inherited from MemoryConfig
+/// and handed to the MemoryManager verbatim; cuda4_semantics also makes
+/// connections carrying the same application id share one context. An
+/// unknown paging or scheduling policy name, or a zero page_bytes, makes
+/// the Runtime refuse every handshake with ErrorInvalidValue.
+struct RuntimeConfig : MemoryConfig {
   /// Scheduling knobs (vGPUs per device, policy, migration, grace period),
   /// passed to the Scheduler verbatim -- see SchedulerConfig.
   SchedulerConfig scheduler;
 
   DispatchMode dispatch_mode = DispatchMode::Sharded;
-
-  bool defer_transfers = true;
-
-  /// Overlap eviction write-backs with subsequent work (see
-  /// MemoryManager::Config::async_writeback).
-  bool async_writeback = true;
-
-  /// Incremental swap engine: dirty-interval tracking, kernel write-sets and
-  /// range-granular swap transfers (see MemoryManager::Config). False runs
-  /// the naive whole-buffer baseline.
-  bool incremental_swap = true;
-
-  /// Page-granular memory engine: fixed-size pages, AccessHint-scoped
-  /// launch transfers, a per-context TLB cost model, and pluggable
-  /// eviction/prefetch policies (see MemoryManager::Config::paging). False
-  /// keeps the entry-granular engine, bit-identical to prior behaviour.
-  bool paging = false;
-  u64 page_bytes = 64 * 1024;
-  /// Paging policy names (core/paging_policy.hpp registries). An unknown
-  /// name makes the Runtime refuse every handshake with ErrorInvalidValue.
-  std::string eviction_policy = "page-lru";
-  std::string prefetch_policy = "stride";
 
   /// Node load (contexts waiting for a vGPU) above which newly arriving
   /// connections are offloaded to the peer node. <0 disables offloading.
@@ -92,11 +76,6 @@ struct RuntimeConfig {
   /// Attempts to re-run a context's device call on another GPU after a
   /// device failure before giving up.
   int max_recovery_attempts = 3;
-
-  /// CUDA 4.0 semantics (paper section 4.8): connections carrying the same
-  /// application id share one context (shared data, same device), and
-  /// cross-device migration uses direct GPU-to-GPU transfers.
-  bool cuda4_semantics = false;
 
   /// Capabilities this daemon is willing to negotiate. Defaults to
   /// everything this build speaks; masking bits off emulates an older peer
@@ -268,8 +247,8 @@ class Runtime {
 
   cudart::CudaRt* rt_;
   RuntimeConfig config_;
-  /// ErrorInvalidValue when config_ names an unknown paging policy; every
-  /// handshake is then refused with it.
+  /// ErrorInvalidValue when config_ names an unknown paging or scheduling
+  /// policy or sets page_bytes to 0; every handshake is then refused with it.
   Status config_status_ = Status::Ok;
   std::unique_ptr<MemoryManager> mm_;
   std::unique_ptr<Scheduler> scheduler_;

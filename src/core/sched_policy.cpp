@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <mutex>
 
 #include "core/context.hpp"
 
@@ -14,7 +13,7 @@ namespace {
 // ---- Built-in policies ------------------------------------------------------
 //
 // The four non-preemptive policies reproduce the pre-PR8 priority_of()
-// switch branch for branch: selecting "fcfs" through the registry makes
+// switch branch for branch: selecting "fcfs" by name makes
 // scheduling decisions bit-identical to the old closed enum (the chaos
 // determinism suite holds us to that).
 
@@ -94,49 +93,40 @@ class FairSharePolicy : public SchedulingPolicy {
   }
 };
 
-// ---- Registry ---------------------------------------------------------------
+// ---- Built-in table ---------------------------------------------------------
 
-struct Registry {
-  std::mutex mu;
-  std::map<std::string, SchedulingPolicyFactory> factories;
-};
+template <typename Policy>
+std::unique_ptr<SchedulingPolicy> create() {
+  return std::make_unique<Policy>();
+}
 
-Registry& registry() {
-  static Registry* r = [] {
-    auto* reg = new Registry();
-    reg->factories["fcfs"] = [] { return std::make_unique<FcfsPolicy>(); };
-    reg->factories["sjf"] = [] { return std::make_unique<SjfPolicy>(); };
-    reg->factories["credit"] = [] { return std::make_unique<CreditPolicy>(); };
-    reg->factories["deadline"] = [] { return std::make_unique<DeadlinePolicy>(); };
-    reg->factories["tq"] = [] { return std::make_unique<TqRoundRobinPolicy>(); };
-    reg->factories["fair"] = [] { return std::make_unique<FairSharePolicy>(); };
-    return reg;
-  }();
-  return *r;
+using Factory = std::unique_ptr<SchedulingPolicy> (*)();
+
+/// The fixed name -> factory table (std::map keeps the names sorted).
+const std::map<std::string, Factory>& table() {
+  static const std::map<std::string, Factory> t{
+      {"fcfs", create<FcfsPolicy>},
+      {"sjf", create<SjfPolicy>},
+      {"credit", create<CreditPolicy>},
+      {"deadline", create<DeadlinePolicy>},
+      {"tq", create<TqRoundRobinPolicy>},
+      {"fair", create<FairSharePolicy>},
+  };
+  return t;
 }
 
 }  // namespace
 
-void register_scheduling_policy(const std::string& name, SchedulingPolicyFactory factory) {
-  Registry& reg = registry();
-  std::lock_guard lk(reg.mu);
-  reg.factories[name] = std::move(factory);
-}
-
 StatusOr<std::unique_ptr<SchedulingPolicy>> make_scheduling_policy(const std::string& name) {
-  Registry& reg = registry();
-  std::lock_guard lk(reg.mu);
-  const auto it = reg.factories.find(name);
-  if (it == reg.factories.end()) return Status::ErrorInvalidValue;
+  const auto it = table().find(name);
+  if (it == table().end()) return Status::ErrorInvalidValue;
   return it->second();
 }
 
 std::vector<std::string> scheduling_policy_names() {
-  Registry& reg = registry();
-  std::lock_guard lk(reg.mu);
   std::vector<std::string> names;
-  names.reserve(reg.factories.size());
-  for (const auto& [name, factory] : reg.factories) names.push_back(name);
+  names.reserve(table().size());
+  for (const auto& [name, factory] : table()) names.push_back(name);
   return names;
 }
 

@@ -1,7 +1,7 @@
 // Pluggable scheduling / preemption policies.
 //
 // Replaces the closed PolicyKind enum: a policy is an object implementing
-// SchedulingPolicy, registered in a process-wide factory under a short name
+// SchedulingPolicy, listed in a fixed factory table under a short name
 // ("fcfs", "tq", ...) and selected by name from SchedulerConfig, the gpuvmd
 // and gpuvm_chaos command lines, or the chaos harness. The Scheduler asks
 // the policy for a priority key when matching waiters to vGPU slots, and --
@@ -12,7 +12,6 @@
 // rotation).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,7 +27,7 @@ class SchedulingPolicy {
  public:
   virtual ~SchedulingPolicy() = default;
 
-  /// The registry name this policy was created under.
+  /// The table name this policy was created under.
   virtual const char* name() const = 0;
 
   /// Priority key for waiter ordering: smaller = scheduled earlier.
@@ -55,25 +54,21 @@ class SchedulingPolicy {
   }
 };
 
-using SchedulingPolicyFactory = std::function<std::unique_ptr<SchedulingPolicy>()>;
-
-/// Registers a policy factory under `name` (later registration wins, so
-/// tests can shadow a built-in). Built-ins are registered on first use:
-///   fcfs     -- arrival order, non-preemptive (the pre-PR8 baseline,
-///               bit-identical scheduling decisions)
+/// Built-in policies, a fixed name table:
+///   fcfs     -- arrival order, non-preemptive (the original closed-enum
+///               baseline, bit-identical scheduling decisions)
 ///   sjf      -- shortest job first by the frontend's cost hint
 ///   credit   -- least GPU time consumed minus credits, non-preemptive
 ///   deadline -- earliest QoS deadline first
 ///   tq       -- time-quantum round-robin, preemptive + exclusive
 ///   fair     -- deficit fair share (credit key), preemptive + exclusive
-void register_scheduling_policy(const std::string& name, SchedulingPolicyFactory factory);
-
+///
 /// Creates a fresh policy instance by name. Unknown names are a typed error
 /// (Status::ErrorInvalidValue) so callers surface the mistake instead of
 /// silently falling back to FCFS.
 StatusOr<std::unique_ptr<SchedulingPolicy>> make_scheduling_policy(const std::string& name);
 
-/// Registered policy names, sorted (CLI help / error messages).
+/// Built-in policy names, sorted (CLI help / error messages).
 std::vector<std::string> scheduling_policy_names();
 
 }  // namespace gpuvm::core

@@ -59,9 +59,9 @@ Scheduler::Scheduler(cudart::CudaRt& rt, MemoryManager& mm, Config config)
   if (policy.has_value()) {
     policy_ = std::move(policy).value();
   } else {
-    // Keep the daemon schedulable, but surface the typed error through
-    // policy_status() so callers that can refuse (flag parsing, the chaos
-    // harness) do so instead of this silent fallback.
+    // Keep the object schedulable, but surface the typed error through
+    // policy_status(): the Runtime refuses every handshake on it, and flag
+    // parsing and the chaos harness fail the command.
     policy_status_ = policy.status();
     log::error("scheduler: unknown policy '%s', falling back to fcfs",
                config_.policy.c_str());

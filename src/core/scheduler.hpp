@@ -11,7 +11,7 @@
 // burst and releases it during CPU phases, enabling time-sharing, inter-
 // application swap, migration between devices of different speeds, and
 // recovery from device failure. The binding discipline is pluggable
-// through the SchedulingPolicy registry (core/sched_policy.hpp); policies
+// through the SchedulingPolicy table (core/sched_policy.hpp); policies
 // with preemptive() == true additionally rotate device access on a time
 // quantum: a vt-timer pump swaps the expired holder's dirty intervals out
 // and unbinds it, and an anti-thrashing governor widens the quantum when
@@ -60,8 +60,8 @@ struct SchedulerStats {
 struct SchedulerConfig {
   int vgpus_per_device = 4;
   /// Named SchedulingPolicy (core/sched_policy.hpp): "fcfs", "sjf",
-  /// "credit", "deadline", "tq", "fair", or anything registered via
-  /// register_scheduling_policy. Replaces the closed PolicyKind enum.
+  /// "credit", "deadline", "tq" or "fair". Replaces the closed PolicyKind
+  /// enum.
   std::string policy = "fcfs";
   /// Allow re-binding a context whose data lives on a slower device to a
   /// strictly faster idle device (Figure 9's load balancing).
@@ -142,10 +142,11 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Ok when config.policy named a registered SchedulingPolicy; the typed
+  /// Ok when config.policy named a built-in SchedulingPolicy; the typed
   /// construction error otherwise (the constructor falls back to "fcfs" so
-  /// the daemon stays schedulable, but callers that can refuse -- gpuvmd
-  /// flag parsing, the chaos harness -- surface this instead).
+  /// the object stays schedulable, but its callers refuse instead: the
+  /// Runtime refuses every handshake, gpuvmd flag parsing and the chaos
+  /// harness fail the command).
   Status policy_status() const { return policy_status_; }
   const SchedulingPolicy& policy() const { return *policy_; }
 

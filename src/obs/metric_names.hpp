@@ -59,7 +59,7 @@ inline constexpr char kMmWritebackFences[] = "mm.writeback_fences";
 inline constexpr char kMmDirtyBytesSaved[] = "mm.dirty_bytes_saved";
 inline constexpr char kMmBulkH2dBytes[] = "mm.bulk_h2d_bytes";
 
-// ---- paged memory engine (MmConfig::paging) --------------------------------
+// ---- paged memory engine (MemoryConfig::paging) ----------------------------
 /// Pages uploaded synchronously on the launch path (demand paging).
 inline constexpr char kMmPageFaults[] = "mm.page_faults";
 inline constexpr char kMmTlbHits[] = "mm.tlb_hits";

@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
   if (sched_policy.empty() && preempts > 0) sched_policy = "tq";
   if (!sched_policy.empty()) {
     if (!gpuvm::core::make_scheduling_policy(sched_policy).has_value()) {
-      std::fprintf(stderr, "gpuvm_chaos: unknown scheduling policy '%s' (registered:",
+      std::fprintf(stderr, "gpuvm_chaos: unknown scheduling policy '%s' (built-in:",
                    sched_policy.c_str());
       for (const std::string& name : gpuvm::core::scheduling_policy_names()) {
         std::fprintf(stderr, " %s", name.c_str());

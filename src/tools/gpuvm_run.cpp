@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
                       obs::histogram_quantile(v.edges, v.buckets, 0.95),
                       obs::histogram_quantile(v.edges, v.buckets, 0.99));
         }
-        // Paging health (MmConfig::paging): fault/TLB/prefetch counters, the
+        // Paging health (MemoryConfig::paging): fault/TLB/prefetch counters, the
         // computed TLB hit-rate, and the per-launch fault-service quantiles.
         // A daemon running the entry-granular engine publishes all-zero
         // gauges; suppress the section entirely then.

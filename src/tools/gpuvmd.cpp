@@ -15,7 +15,9 @@
 // shutdown; SIGUSR1 dumps the trace collected so far without stopping.
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -103,11 +105,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--vgpus") {
       config.scheduler.vgpus_per_device = std::atoi(next());
     } else if (arg == "--policy") {
-      // Any registered SchedulingPolicy name; validated eagerly so a typo
+      // Any built-in SchedulingPolicy name; validated eagerly so a typo
       // fails the command instead of silently scheduling FCFS.
       config.scheduler.policy = next();
       if (!core::make_scheduling_policy(config.scheduler.policy).has_value()) {
-        std::fprintf(stderr, "gpuvmd: unknown policy '%s' (registered:",
+        std::fprintf(stderr, "gpuvmd: unknown policy '%s' (built-in:",
                      config.scheduler.policy.c_str());
         for (const std::string& name : core::scheduling_policy_names()) {
           std::fprintf(stderr, " %s", name.c_str());
@@ -135,11 +137,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--paging") {
       config.paging = true;
     } else if (arg == "--page-kb") {
-      config.page_bytes = static_cast<u64>(std::atoll(next())) * 1024;
+      // Validated eagerly: a non-number or a value below 1 fails the command
+      // instead of becoming a zero page size the daemon would refuse.
+      const char* text = next();
+      char* end = nullptr;
+      const long long kb = std::strtoll(text, &end, 10);
+      if (end == text || *end != '\0' || kb < 1 ||
+          kb > std::numeric_limits<long long>::max() / 1024) {
+        std::fprintf(stderr, "gpuvmd: --page-kb needs a positive integer, got '%s'\n", text);
+        return 2;
+      }
+      config.page_bytes = static_cast<u64>(kb) * 1024;
     } else if (arg == "--evict") {
       config.eviction_policy = next();
       if (!core::make_eviction_policy(config.eviction_policy).has_value()) {
-        std::fprintf(stderr, "gpuvmd: unknown eviction policy '%s' (registered:",
+        std::fprintf(stderr, "gpuvmd: unknown eviction policy '%s' (built-in:",
                      config.eviction_policy.c_str());
         for (const std::string& name : core::eviction_policy_names()) {
           std::fprintf(stderr, " %s", name.c_str());
@@ -150,7 +162,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--prefetch") {
       config.prefetch_policy = next();
       if (!core::make_prefetch_policy(config.prefetch_policy).has_value()) {
-        std::fprintf(stderr, "gpuvmd: unknown prefetch policy '%s' (registered:",
+        std::fprintf(stderr, "gpuvmd: unknown prefetch policy '%s' (built-in:",
                      config.prefetch_policy.c_str());
         for (const std::string& name : core::prefetch_policy_names()) {
           std::fprintf(stderr, " %s", name.c_str());

@@ -1,4 +1,4 @@
-// Tests for the page-granular memory engine (MmConfig::paging):
+// Tests for the page-granular memory engine (MemoryConfig::paging):
 //  - IntervalSet page-alignment helpers (page_floor/page_ceil, page_rounded,
 //    pages, intersected)
 //  - the paging policy registries (typed unknown-name errors, sorted name
@@ -87,7 +87,7 @@ TEST(PageHelpers, IntersectedComputesExactOverlap) {
   EXPECT_TRUE(a.intersected(IntervalSet{}).empty());
 }
 
-// ---- Policy registries ------------------------------------------------------
+// ---- Policy tables ----------------------------------------------------------
 
 TEST(PagingPolicyRegistry, UnknownNamesAreTypedErrors) {
   EXPECT_EQ(make_eviction_policy("no-such-policy").status(), Status::ErrorInvalidValue);
@@ -104,26 +104,6 @@ TEST(PagingPolicyRegistry, BuiltinsAreListedSorted) {
   EXPECT_NE(std::find(pf.begin(), pf.end(), "none"), pf.end());
   EXPECT_NE(std::find(pf.begin(), pf.end(), "sequential"), pf.end());
   EXPECT_NE(std::find(pf.begin(), pf.end(), "stride"), pf.end());
-}
-
-class ConstScoreEviction : public EvictionPolicy {
- public:
-  explicit ConstScoreEviction(const char* name) : name_(name) {}
-  const char* name() const override { return name_; }
-  double score(const EvictionCandidate&, i64) const override { return 0.0; }
-
- private:
-  const char* name_;
-};
-
-TEST(PagingPolicyRegistry, LaterRegistrationShadowsEarlier) {
-  register_eviction_policy("test-shadow",
-                           [] { return std::make_unique<ConstScoreEviction>("first"); });
-  register_eviction_policy("test-shadow",
-                           [] { return std::make_unique<ConstScoreEviction>("second"); });
-  auto made = make_eviction_policy("test-shadow");
-  ASSERT_TRUE(made.has_value());
-  EXPECT_STREQ(made.value()->name(), "second");
 }
 
 // ---- Built-in policy behaviour ----------------------------------------------
@@ -198,8 +178,8 @@ class PagedEngineTest : public ::testing::Test {
     (void)rt_->set_device(slot_b_, 1);
   }
 
-  static MM::Config paged_config() {
-    MM::Config cfg;
+  static MemoryConfig paged_config() {
+    MemoryConfig cfg;
     cfg.paging = true;
     cfg.page_bytes = kPage;
     cfg.prefetch_policy = "none";  // tests opt into prefetch explicitly
@@ -280,19 +260,19 @@ TEST_F(PagedEngineTest, TlbMissesOnFirstWalkHitsOnRepeat) {
 }
 
 TEST_F(PagedEngineTest, TinyTlbThrashesDeterministically) {
-  MM::Config cfg = paged_config();
-  cfg.tlb_entries = 2;  // smaller than the 4-page working set
-  MM mm(*rt_, cfg);
+  MM mm(*rt_, paged_config());
   const ContextId ctx{1};
   mm.add_context(ctx);
-  const VirtualPtr p = alloc_filled(mm, ctx, 4 * kPage, std::byte{0x33});
+  // A working set of 66 pages overflows the fixed 64-entry TLB.
+  constexpr u64 kPages = 66;
+  const VirtualPtr p = alloc_filled(mm, ctx, kPages * kPage, std::byte{0x33});
   for (int i = 0; i < 3; ++i) {
     auto prep = mm.prepare_launch(ctx, gpu_a_, slot_a_, {sim::KernelArg::dev(p)});
     ASSERT_EQ(prep.outcome, MM::PrepareOutcome::Ready);
   }
   // The LRU slot is always evicted before its page comes around again.
   EXPECT_EQ(mm.stats().tlb_hits, 0u);
-  EXPECT_EQ(mm.stats().tlb_misses, 12u);
+  EXPECT_EQ(mm.stats().tlb_misses, 3 * kPages);
 }
 
 TEST_F(PagedEngineTest, WrittenHintsScopeWritebackToWrittenPages) {
@@ -324,7 +304,7 @@ TEST_F(PagedEngineTest, WrittenHintsScopeWritebackToWrittenPages) {
 }
 
 TEST_F(PagedEngineTest, SequentialPrefetchShipsPredictedPagesAsynchronously) {
-  MM::Config cfg = paged_config();
+  MemoryConfig cfg = paged_config();
   cfg.prefetch_policy = "sequential";
   MM mm(*rt_, cfg);
   const ContextId ctx{1};
@@ -388,7 +368,7 @@ TEST_F(PagedEngineTest, PageLruEvictsEntryWithColdestHottestPage) {
 }
 
 TEST_F(PagedEngineTest, WorkingSetEvictsSmallestRecentFootprint) {
-  MM::Config cfg = paged_config();
+  MemoryConfig cfg = paged_config();
   cfg.eviction_policy = "working-set";
   MM mm(*rt_, cfg);
   const ContextId ctx{1};

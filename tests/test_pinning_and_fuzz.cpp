@@ -110,7 +110,7 @@ struct RefBuffer {
   std::vector<std::byte> bytes;
 };
 
-void run_mm_fuzz(u64 seed, const MemoryManager::Config& cfg) {
+void run_mm_fuzz(u64 seed, const MemoryConfig& cfg) {
   vt::Domain dom;
   vt::AttachGuard guard(dom);
   sim::SimMachine machine(dom, sim::SimParams{1});
@@ -325,7 +325,7 @@ void run_mm_fuzz(u64 seed, const MemoryManager::Config& cfg) {
 class MmFuzz : public ::testing::TestWithParam<u64> {};
 
 TEST_P(MmFuzz, RandomOpsMatchReferenceModel) {
-  run_mm_fuzz(GetParam(), MemoryManager::Config{});
+  run_mm_fuzz(GetParam(), MemoryConfig{});
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MmFuzz, ::testing::Values(11, 22, 33, 44, 55, 66));
@@ -336,7 +336,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MmFuzz, ::testing::Values(11, 22, 33, 44, 55, 66
 class MmFuzzPaged : public ::testing::TestWithParam<u64> {};
 
 TEST_P(MmFuzzPaged, RandomOpsMatchReferenceModel) {
-  MemoryManager::Config cfg;
+  MemoryConfig cfg;
   cfg.paging = true;
   cfg.page_bytes = 4 * 1024;
   cfg.prefetch_policy = "stride";
@@ -350,7 +350,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MmFuzzPaged, ::testing::Values(11, 22, 33, 44, 5
 class MmFuzzWorkingSet : public ::testing::TestWithParam<u64> {};
 
 TEST_P(MmFuzzWorkingSet, RandomOpsMatchReferenceModel) {
-  MemoryManager::Config cfg;
+  MemoryConfig cfg;
   cfg.paging = true;
   cfg.page_bytes = 4 * 1024;
   cfg.eviction_policy = "working-set";

@@ -332,14 +332,18 @@ TEST_F(RuntimeTest, SynchronizeAndGoodbyeCleanUp) {
   EXPECT_EQ(machine_.gpu(machine_.all_gpus()[0])->used_bytes(), 0u);
 }
 
-TEST_F(RuntimeTest, UnknownPagingPolicyNameRefusesHandshake) {
+TEST_F(RuntimeTest, UnknownPolicyNameOrZeroPageSizeRefusesHandshake) {
   RuntimeConfig bad_eviction;
   bad_eviction.paging = true;
   bad_eviction.eviction_policy = "no-such";
   RuntimeConfig bad_prefetch;
   bad_prefetch.paging = true;
   bad_prefetch.prefetch_policy = "no-such";
-  for (const RuntimeConfig& config : {bad_eviction, bad_prefetch}) {
+  RuntimeConfig bad_scheduler;
+  bad_scheduler.scheduler.policy = "no-such";
+  RuntimeConfig zero_page;
+  zero_page.page_bytes = 0;
+  for (const RuntimeConfig& config : {bad_eviction, bad_prefetch, bad_scheduler, zero_page}) {
     start(config);
     FrontendApi api(runtime_->connect());
     EXPECT_FALSE(api.connected());

@@ -358,7 +358,7 @@ TEST_F(SwapIncrementalTest, NaiveModeMatchesIncrementalByteForByte) {
   // The same operation sequence under the naive (whole-buffer) engine and
   // the incremental engine must produce identical observable bytes; the
   // incremental engine must move no more device traffic.
-  MM::Config naive_cfg;
+  MemoryConfig naive_cfg;
   naive_cfg.incremental_swap = false;
   MM naive(*rt_, naive_cfg);
   const ContextId nctx{7};
