@@ -78,6 +78,7 @@ struct RunResult {
   u64 bytes_moved = 0;  // swap_in + swap_out device traffic
   u64 page_faults = 0;
   u64 prefetched_pages = 0;
+  u64 prefetch_unused_pages = 0;
   u64 page_evictions = 0;
   u64 tlb_hits = 0;
   u64 tlb_misses = 0;
@@ -159,6 +160,7 @@ RunResult run_scenario(bool paged, int tenants, int buffers_per_tenant, int iter
   result.bytes_moved = ms.swap_in_bytes + ms.swap_out_bytes;
   result.page_faults = ms.page_faults;
   result.prefetched_pages = ms.prefetched_pages;
+  result.prefetch_unused_pages = ms.prefetch_unused_pages;
   result.page_evictions = ms.page_evictions;
   result.tlb_hits = ms.tlb_hits;
   result.tlb_misses = ms.tlb_misses;
@@ -242,11 +244,12 @@ int main(int argc, char** argv) {
       std::fprintf(f,
                    "      \"%s\": {\"bytes_moved\": %llu, \"ops_per_sec\": %.1f, "
                    "\"modeled_seconds\": %.6f, \"page_faults\": %llu, "
-                   "\"prefetched_pages\": %llu, \"page_evictions\": %llu, "
-                   "\"tlb_hits\": %llu, \"tlb_misses\": %llu}%s\n",
+                   "\"prefetched_pages\": %llu, \"prefetch_unused_pages\": %llu, "
+                   "\"page_evictions\": %llu, \"tlb_hits\": %llu, \"tlb_misses\": %llu}%s\n",
                    rows[m].name, static_cast<unsigned long long>(r.bytes_moved), r.ops_per_sec,
                    r.elapsed_seconds, static_cast<unsigned long long>(r.page_faults),
                    static_cast<unsigned long long>(r.prefetched_pages),
+                   static_cast<unsigned long long>(r.prefetch_unused_pages),
                    static_cast<unsigned long long>(r.page_evictions),
                    static_cast<unsigned long long>(r.tlb_hits),
                    static_cast<unsigned long long>(r.tlb_misses), m == 0 ? "," : "");

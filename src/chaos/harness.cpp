@@ -71,14 +71,18 @@ void run_tenant(const ScenarioConfig& config, cluster::Cluster& cluster, int i,
     st = api.memcpy_h2d(ptr, std::as_bytes(std::span(mirror)));
   }
 
+  // One thread per element; past the 1024-thread block limit the elements
+  // spread over 256-thread blocks.
+  const sim::LaunchConfig geometry =
+      elems <= 1024 ? sim::LaunchConfig{{1, 1, 1}, {static_cast<u32>(elems), 1, 1}}
+                    : sim::LaunchConfig{{static_cast<u32>((elems + 255) / 256), 1, 1}, {256, 1, 1}};
   const int total = config.kernels_per_tenant + (i % 3);
   for (int k = 0; st == Status::Ok && k < total; ++k) {
     const u32 arg = (static_cast<u32>(k) + 1u) * 0x9e37u + static_cast<u32>(i);
     // The kernel writes the whole buffer through its first argument; the
     // dev_out annotation makes that write-set explicit so the incremental
     // swap engine is exercised (not just the conservative fallback).
-    st = api.launch("chaos_step",
-                    {{1, 1, 1}, {static_cast<u32>(elems), 1, 1}},
+    st = api.launch("chaos_step", geometry,
                     {sim::KernelArg::dev_out(ptr), sim::KernelArg::i64v(static_cast<i64>(arg))});
     if (st == Status::Ok) {
       ++out->kernels_ok;
@@ -158,6 +162,7 @@ std::string ScenarioResult::diff(const ScenarioResult& other) const {
   cmp("sched.requeues", requeues, other.requeues);
   cmp("cluster.migrations", migrations, other.migrations);
   cmp("sched.preemptions", preemptions, other.preemptions);
+  cmp("mm.page_evictions", page_evictions, other.page_evictions);
   return os.str();
 }
 
@@ -301,6 +306,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   result.requeues = counter_value(obs::names::kSchedRequeues);
   result.migrations = counter_value(obs::names::kClusterMigrations);
   result.preemptions = counter_value(obs::names::kSchedPreemptions);
+  result.page_evictions = counter_value(obs::names::kMmPageEvictions);
 
   if (recorder != nullptr) {
     tracing.reset();  // stop recording before export

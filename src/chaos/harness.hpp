@@ -28,7 +28,8 @@ struct ScenarioConfig {
   /// two tenants have identical virtual-time footprints (avoids clock ties).
   int kernels_per_tenant = 6;
   /// Base element count of each tenant's u32 working buffer (tenant i uses
-  /// `buffer_elems + 16 * (i % 4)`).
+  /// `buffer_elems + 16 * (i % 4)`). A few 64 Ki-elements per tenant make
+  /// two bound tenants oversubscribe a 1 MiB chaos GPU.
   u64 buffer_elems = 48;
   /// Scheduler grace for cluster-dark windows (node crash ... rejoin).
   double grace_seconds = 0.25;
@@ -86,6 +87,7 @@ struct ScenarioResult {
   u64 requeues = 0;                          ///< counter sched.requeues
   u64 migrations = 0;                        ///< counter cluster.migrations
   u64 preemptions = 0;                       ///< counter sched.preemptions
+  u64 page_evictions = 0;                    ///< counter mm.page_evictions
 
   /// Full replay equality: same outcomes, same makespan (bit-exact), same
   /// fault log, same counter values.

@@ -47,6 +47,22 @@ std::vector<std::string> check_quiescent(const std::vector<NodeTarget>& targets)
            << " resident contexts (only reservation slabs should remain at quiescence)";
         violations.push_back(os.str());
       }
+      // Slabs are charged at the allocator's 256-byte granularity.
+      const u64 slab = (rt.context_reservation_bytes() + 255) / 256 * 256;
+      const u64 mapped = node.runtime->memory().resident_bytes_on(all[i]);
+      if (gpu->used_bytes() != mapped + contexts * slab) {
+        std::ostringstream os;
+        os << node.name << ": device " << all[i].value << " charges " << gpu->used_bytes()
+           << " bytes vs " << mapped << " mapped by the memory manager + " << contexts
+           << " reservation slabs of " << slab;
+        violations.push_back(os.str());
+      }
+    }
+    if (const u64 bad = node.runtime->memory().stats().residency_violations; bad != 0) {
+      std::ostringstream os;
+      os << node.name << ": " << bad
+         << " paged entries had device-dirty bytes outside their mapped pages";
+      violations.push_back(os.str());
     }
   }
   return violations;

@@ -7,8 +7,11 @@
 //   - SimMachine::gpus() lists only healthy devices.
 // *Quiescent* invariants additionally require the scenario to have drained
 // (no in-flight application work): device-memory accounting must balance --
-// on every healthy device the only live allocations left are the CUDA
-// per-context reservation slabs, one per context resident on that device.
+// on every healthy device the only live spans left are the CUDA per-context
+// reservation slabs, one per context resident on that device, and the bytes
+// the device charges are exactly the memory manager's mapped pages there
+// plus those slabs. The memory manager must also never have seen a paged
+// entry with device-dirty bytes outside its mapped pages.
 #pragma once
 
 #include <string>

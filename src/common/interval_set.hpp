@@ -35,6 +35,13 @@ constexpr u64 page_ceil(u64 x, u64 page) { return (x + page - 1) / page * page; 
 
 class IntervalSet {
  public:
+  /// The set holding just [begin, end).
+  static IntervalSet of(u64 begin, u64 end) {
+    IntervalSet s;
+    s.add(begin, end);
+    return s;
+  }
+
   /// Adds [begin, end), merging with any overlapping or adjacent range.
   void add(u64 begin, u64 end) {
     if (begin >= end) return;
@@ -77,6 +84,14 @@ class IntervalSet {
     if (begin >= end) return true;
     for (const ByteRange& r : ranges_) {
       if (r.begin <= begin && end <= r.end) return true;
+    }
+    return false;
+  }
+
+  /// True iff any byte of [begin, end) is covered.
+  bool overlaps(u64 begin, u64 end) const {
+    for (const ByteRange& r : ranges_) {
+      if (r.begin < end && begin < r.end) return true;
     }
     return false;
   }

@@ -171,14 +171,26 @@ void MemoryManager::ctx_lru_remove(CtxMem& mem) const {
   ctx_lru_.where.erase(w);
 }
 
+std::vector<ByteRange> MemoryManager::transfer_plan(const PageTableEntry& pte,
+                                                    const IntervalSet& dirty) const {
+  IntervalSet plan;
+  for (const ByteRange& r : dirty.coalesced(kCoalesceGapBytes)) plan.add(r.begin, r.end);
+  return plan.intersected(pte.mapped).ranges();
+}
+
 std::vector<ByteRange> MemoryManager::writeback_ranges(const PageTableEntry& pte) const {
-  if (!config_.incremental_swap) return {ByteRange{0, pte.size}};
-  return pte.dev_dirty.coalesced(kCoalesceGapBytes);
+  return transfer_plan(pte,
+                       config_.incremental_swap ? pte.dev_dirty : IntervalSet::of(0, pte.size));
 }
 
 std::vector<ByteRange> MemoryManager::upload_ranges(const PageTableEntry& pte) const {
-  if (!config_.incremental_swap) return {ByteRange{0, pte.size}};
-  return pte.host_dirty.coalesced(kCoalesceGapBytes);
+  return transfer_plan(pte,
+                       config_.incremental_swap ? pte.host_dirty : IntervalSet::of(0, pte.size));
+}
+
+void MemoryManager::mark_host_dirty(PageTableEntry& pte, u64 begin, u64 end) {
+  const IntervalSet dirty = pte.mapped.intersected(IntervalSet::of(begin, end));
+  for (const ByteRange& r : dirty.ranges()) pte.host_dirty.add(r.begin, r.end);
 }
 
 StatusOr<VirtualPtr> MemoryManager::on_malloc(ContextId ctx, u64 size) {
@@ -220,7 +232,8 @@ Status MemoryManager::on_copy_h2d(ContextId ctx, VirtualPtr dst, std::span<const
     return Status::ErrorSwapSizeMismatch;  // caught before reaching the GPU
   }
 
-  const bool eager = !config_.defer_transfers && bound_client.has_value() && pte->is_allocated;
+  const bool eager = !config_.defer_transfers && bound_client.has_value() && pte->is_allocated &&
+                     pte->mapped.contains(offset, offset + src.size());
   if (eager) {
     // Eager configuration: ship straight to the device (costed), keep the
     // swap copy in sync so later swaps are cheap reads.
@@ -251,7 +264,7 @@ Status MemoryManager::on_copy_h2d(ContextId ctx, VirtualPtr dst, std::span<const
   pte->to_copy_2_swap = false;
   pte->dev_dirty.clear();  // partial: synced above; full: superseded by this write
   pte->swap_valid.add(offset, offset + src.size());
-  if (pte->is_allocated) pte->host_dirty.add(offset, offset + src.size());
+  mark_host_dirty(*pte, offset, offset + src.size());
   epoch_mark(*mem, *pte, offset, offset + src.size());
   return Status::Ok;
 }
@@ -273,7 +286,7 @@ Status MemoryManager::sync_to_swap(PageTableEntry& pte) {
         pte.to_copy_2_swap = false;
         pte.to_copy_2_dev = true;
         pte.dev_dirty.clear();
-        pte.host_dirty = pte.swap_valid;  // everything re-uploads from swap
+        pte.host_dirty = pte.swap_valid.intersected(pte.mapped);  // re-upload from swap
         return s;
       }
       return s;
@@ -351,6 +364,150 @@ void MemoryManager::stamp_pages(PageTableEntry& pte, const std::vector<u64>& pag
   }
 }
 
+ByteRange MemoryManager::page_range(const PageTableEntry& pte, u64 page) const {
+  const u64 begin = page * config_.page_bytes;
+  return ByteRange{begin, std::min(begin + config_.page_bytes, pte.size)};
+}
+
+void MemoryManager::tlb_flush_page(CtxMem& mem, const PageTableEntry& pte, u64 page) {
+  const auto it = mem.tlb.slot.find({pte.virtual_ptr, page});
+  if (it == mem.tlb.slot.end()) return;
+  mem.tlb.order.erase(it->second);
+  mem.tlb.slot.erase(it);
+}
+
+void MemoryManager::note_mapped(CtxMem& mem, PageTableEntry& pte, u64 begin, u64 end,
+                                i64 now_ns) const {
+  pte.mapped.add(begin, end);
+  const IntervalSet stale = pte.swap_valid.intersected(IntervalSet::of(begin, end));
+  for (const ByteRange& r : stale.ranges()) pte.host_dirty.add(r.begin, r.end);
+  if (!stale.empty()) pte.to_copy_2_dev = true;
+  mem.resident_bytes.fetch_add(end - begin, std::memory_order_relaxed);
+  mem.resident_gpu.store(pte.resident_gpu.value, std::memory_order_relaxed);
+  ctx_lru_touch(mem, pte.resident_gpu.value, now_ns);
+}
+
+void MemoryManager::note_unmapped(CtxMem& mem, u64 bytes) const {
+  // fetch_sub's return value decides "all resident bytes gone": a separate
+  // load could race with a concurrent materialization elsewhere.
+  if (mem.resident_bytes.fetch_sub(bytes, std::memory_order_relaxed) == bytes) {
+    mem.resident_gpu.store(0, std::memory_order_relaxed);
+    ctx_lru_remove(mem);
+  }
+}
+
+void MemoryManager::retire_prefetched(PageTableEntry& pte, u64 begin, u64 end) {
+  if (!pte.prefetched_untouched.overlaps(begin, end)) return;
+  const u64 unused = pte.prefetched_untouched.intersected(IntervalSet::of(begin, end))
+                         .pages(config_.page_bytes, pte.size)
+                         .size();
+  stats_.prefetch_unused_pages.fetch_add(unused, std::memory_order_relaxed);
+  pte.prefetched_untouched.erase(begin, end);
+}
+
+void MemoryManager::audit_residency(const PageTableEntry& pte) {
+  if (pte.dev_dirty.intersected(pte.mapped) == pte.dev_dirty) return;
+  stats_.residency_violations.fetch_add(1, std::memory_order_relaxed);
+  log::error("mm: entry 0x%llx has device-dirty bytes outside its mapped pages",
+             static_cast<unsigned long long>(pte.virtual_ptr));
+}
+
+MemoryManager::PageVictim MemoryManager::coldest_page(
+    CtxMem& mem, GpuId gpu, const std::map<PageTableEntry*, IntervalSet>& keep, i64 now_ns,
+    bool take_prefetched) const {
+  PageVictim victim;
+  bool best_prefetched = false;
+  double best = 0.0;
+  for (const auto& [key, candidate] : mem.lru) {
+    if (GpuId{candidate->resident_gpu} != gpu || candidate->mapped.empty()) continue;
+    const auto kept = keep.find(candidate);
+    const EvictionCandidate c{candidate->virtual_ptr, candidate->size, config_.page_bytes,
+                              candidate->last_use.count(),
+                              std::span<const i64>(candidate->page_use_ns)};
+    for (const u64 p : candidate->mapped.pages(config_.page_bytes, candidate->size)) {
+      const ByteRange r = page_range(*candidate, p);
+      if (kept != keep.end() && kept->second.overlaps(r.begin, r.end)) continue;
+      const bool prefetched = candidate->prefetched_untouched.overlaps(r.begin, r.end);
+      if (prefetched && !take_prefetched) continue;
+      const double score = mem.evict->page_score(c, p, now_ns);
+      if (victim.pte == nullptr || std::tie(prefetched, score) < std::tie(best_prefetched, best)) {
+        victim = PageVictim{candidate, p};
+        best_prefetched = prefetched;
+        best = score;
+      }
+    }
+  }
+  return victim;
+}
+
+Status MemoryManager::evict_page(CtxMem& mem, PageTableEntry& pte, u64 page) {
+  const ByteRange r = page_range(pte, page);
+  // Write back the page's device-dirty bytes (overlapping the caller's
+  // work, like swap_entry, when async); a clean page just unmaps.
+  u64 moved = 0;
+  if (pte.dev_dirty.overlaps(r.begin, r.end)) {
+    const IntervalSet page_set = IntervalSet::of(r.begin, r.end);
+    const IntervalSet ship =
+        config_.incremental_swap ? pte.dev_dirty.intersected(page_set) : page_set;
+    for (const ByteRange& w : transfer_plan(pte, ship)) {
+      const auto dst = std::span(pte.swap).subspan(w.begin, w.size());
+      if (config_.async_writeback) {
+        auto done = rt_->memcpy_d2h_async(pte.owner_client, dst, pte.device_ptr + w.begin,
+                                          w.size());
+        if (!done.has_value()) return done.status();
+        pte.writeback_done = std::max(pte.writeback_done, done.value());
+      } else if (const Status s = rt_->memcpy_d2h(pte.owner_client, dst,
+                                                  pte.device_ptr + w.begin, w.size());
+                 !ok(s)) {
+        return s;
+      }
+      pte.swap_valid.add(w.begin, w.end);
+      moved += w.size();
+    }
+    if (!pte.nested.empty()) rewrite_nested_to_virtual(mem, pte);
+  }
+  if (const Status s = rt_->unmap(pte.owner_client, pte.device_ptr + r.begin, r.size());
+      !ok(s)) {
+    return s;
+  }
+  pte.mapped.erase(r.begin, r.end);
+  pte.dev_dirty.erase(r.begin, r.end);
+  pte.host_dirty.erase(r.begin, r.end);
+  pte.to_copy_2_swap = !pte.dev_dirty.empty();
+  retire_prefetched(pte, r.begin, r.end);
+  tlb_flush_page(mem, pte, page);
+  note_unmapped(mem, r.size());
+  stats_.page_evictions.fetch_add(1, std::memory_order_relaxed);
+  page_evictions_counter().add(1);
+  if (moved > 0) {
+    stats_.swap_out_bytes.fetch_add(moved, std::memory_order_relaxed);
+    if (config_.async_writeback) {
+      stats_.async_writebacks.fetch_add(1, std::memory_order_relaxed);
+      async_writebacks_counter().add(1);
+    }
+  }
+  audit_residency(pte);
+  return Status::Ok;
+}
+
+Status MemoryManager::map_page(CtxMem& mem, PageTableEntry& pte, u64 page,
+                               const std::map<PageTableEntry*, IntervalSet>& keep,
+                               i64 now_ns, bool demand, u64* evicted) {
+  const ByteRange r = page_range(pte, page);
+  for (;;) {
+    const Status s = rt_->map(pte.owner_client, pte.device_ptr + r.begin, r.size());
+    if (ok(s)) {
+      note_mapped(mem, pte, r.begin, r.end, now_ns);
+      return Status::Ok;
+    }
+    if (s != Status::ErrorMemoryAllocation) return s;
+    const PageVictim victim = coldest_page(mem, GpuId{pte.resident_gpu}, keep, now_ns, demand);
+    if (victim.pte == nullptr) return Status::ErrorMemoryAllocation;
+    if (const Status e = evict_page(mem, *victim.pte, victim.page); !ok(e)) return e;
+    ++*evicted;
+  }
+}
+
 Status MemoryManager::on_copy_d2h(ContextId ctx, std::span<std::byte> dst, VirtualPtr src,
                                   u64 size) {
   CtxMemPtr mem = find(ctx);
@@ -397,7 +554,7 @@ Status MemoryManager::on_copy_d2d(ContextId ctx, VirtualPtr dst, VirtualPtr src,
   dpte->to_copy_2_swap = false;
   dpte->dev_dirty.clear();
   dpte->swap_valid.add(dst_off, dst_off + size);
-  if (dpte->is_allocated) dpte->host_dirty.add(dst_off, dst_off + size);
+  mark_host_dirty(*dpte, dst_off, dst_off + size);
   epoch_mark(*mem, *dpte, dst_off, dst_off + size);
   return Status::Ok;
 }
@@ -436,7 +593,7 @@ Status MemoryManager::register_nested(ContextId ctx, VirtualPtr parent,
   for (const NestedRef& ref : refs) {
     std::memcpy(pte->swap.data() + ref.offset, &ref.target, sizeof(u64));
     pte->swap_valid.add(ref.offset, ref.offset + sizeof(u64));
-    if (pte->is_allocated) pte->host_dirty.add(ref.offset, ref.offset + sizeof(u64));
+    mark_host_dirty(*pte, ref.offset, ref.offset + sizeof(u64));
     epoch_mark(*mem, *pte, ref.offset, ref.offset + sizeof(u64));
   }
   pte->to_copy_2_dev = true;
@@ -535,14 +692,15 @@ Status MemoryManager::swap_entry(CtxMem& mem, PageTableEntry& pte) {
     sync = sync_to_swap(pte);  // costed writeback when dirty
   }
   if (!pte.nested.empty()) rewrite_nested_to_virtual(mem, pte);
+  const u64 mapped_pages = pte.mapped.pages(config_.page_bytes, pte.size).size();
   release_device(mem, pte);
   pte.to_copy_2_dev = true;  // next use re-materializes from swap
   pte.dev_dirty.clear();     // the device copy is gone
   pte.host_dirty.clear();    // recomputed from swap_valid at re-materialization
   if (config_.paging) {
     // The page-use stamps survive: they still describe the entry's heat.
-    stats_.page_evictions.fetch_add(page_count_of(pte), std::memory_order_relaxed);
-    page_evictions_counter().add(page_count_of(pte));
+    stats_.page_evictions.fetch_add(mapped_pages, std::memory_order_relaxed);
+    page_evictions_counter().add(mapped_pages);
   }
   stats_.swapped_entries.fetch_add(1, std::memory_order_relaxed);
   stats_.swap_bytes.fetch_add(pte.size, std::memory_order_relaxed);
@@ -551,20 +709,17 @@ Status MemoryManager::swap_entry(CtxMem& mem, PageTableEntry& pte) {
 }
 
 void MemoryManager::release_device(CtxMem& mem, PageTableEntry& pte) {
-  (void)rt_->free(pte.owner_client, pte.device_ptr);
+  (void)rt_->free(pte.owner_client, pte.device_ptr);  // unmaps every page too
   pte.is_allocated = false;
   pte.device_ptr = kNullDevicePtr;
   // Translations die with the device copy; an in-flight prefetch into it is
-  // moot (content already landed in the block just freed).
+  // moot (content already landed in the span just freed).
   tlb_flush_entry(mem, pte);
   pte.upload_done = vt::TimePoint{};
+  retire_prefetched(pte, 0, pte.size);
   lru_remove(mem, pte);
-  // fetch_sub's return value decides "all resident bytes gone": a separate
-  // load could race with a concurrent materialization elsewhere.
-  if (mem.resident_bytes.fetch_sub(pte.size, std::memory_order_relaxed) == pte.size) {
-    mem.resident_gpu.store(0, std::memory_order_relaxed);
-    ctx_lru_remove(mem);
-  }
+  note_unmapped(mem, pte.mapped.total_bytes());
+  pte.mapped.clear();
 }
 
 MemoryManager::PrepareResult MemoryManager::prepare_launch(
@@ -652,8 +807,30 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
       set = set.page_rounded(config_.page_bytes, pte->size);
     }
   }
+  // Paged engine: the bytes each entry must have mapped for this launch --
+  // its hinted pages, or all of it -- and what they add up to.
+  std::map<PageTableEntry*, IntervalSet> must_map;
+  u64 launch_bytes = 0;
+  if (config_.paging) {
+    for (PageTableEntry* pte : closure) {
+      IntervalSet& need = must_map[pte];
+      if (const auto h = hint_needed.find(pte); h != hint_needed.end()) {
+        need = h->second;
+      } else {
+        need.add(0, pte->size);
+      }
+      launch_bytes += need.total_bytes();
+    }
+  }
 
+  // Intra-application swaps count once per launch, however many victims.
   bool counted_intra = false;
+  const auto count_intra_swap = [&] {
+    if (counted_intra) return;
+    counted_intra = true;
+    stats_.intra_app_swaps.fetch_add(1, std::memory_order_relaxed);
+    obs::emit_instant("intra-app-swap", "swap", obs::kRuntimePid, ctx.value, ctx.value);
+  };
   for (PageTableEntry* pte : closure) {
     // Stragglers resident on a different (or dead) device migrate -- via a
     // direct GPU-to-GPU copy in CUDA 4 mode, through the swap area
@@ -672,6 +849,50 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
         }
       }
     }
+    if (config_.paging) {
+      // Reserve the span once, then map the launch's pages inside it,
+      // evicting this context's coldest pages the launch does not need
+      // while the device is full.
+      const sim::SimGpu* dev = rt_->machine().gpu(gpu);
+      if (dev == nullptr ||
+          launch_bytes + rt_->context_reservation_bytes() > dev->capacity_bytes()) {
+        result.error = Status::ErrorMemoryAllocation;
+        return result;
+      }
+      if (!pte->is_allocated) {
+        auto span = rt_->reserve(client, pte->size);
+        if (!span) {
+          result.error = span.status();
+          return result;
+        }
+        pte->device_ptr = span.value();
+        pte->owner_client = client;
+        pte->resident_gpu = gpu;
+        pte->is_allocated = true;
+      }
+      u64 evicted = 0;
+      Status mapped = Status::Ok;
+      u64 missing = 0;
+      for (const u64 p : must_map[pte].pages(config_.page_bytes, pte->size)) {
+        const ByteRange r = page_range(*pte, p);
+        if (pte->mapped.contains(r.begin, r.end)) continue;
+        mapped = map_page(*mem, *pte, p, must_map, now_stamp.count(), /*demand=*/true, &evicted);
+        if (!ok(mapped)) {
+          missing = r.size();
+          break;
+        }
+      }
+      if (evicted > 0) count_intra_swap();
+      if (mapped == Status::ErrorMemoryAllocation) {
+        result.outcome = PrepareOutcome::WouldBlock;
+        result.needed_bytes = missing;
+        return result;
+      }
+      if (!ok(mapped)) {
+        result.error = mapped;
+        return result;
+      }
+    }
     while (!pte->is_allocated) {
       // An entry larger than the whole device can never be materialized:
       // fail hard instead of asking the caller to retry forever.
@@ -687,13 +908,10 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
         pte->owner_client = client;
         pte->resident_gpu = gpu;
         pte->is_allocated = true;
-        // A fresh device allocation holds zeroes (value-initialized blocks),
-        // exactly like swap bytes outside swap_valid: only the validated
-        // ranges need uploading to re-materialize the entry.
-        pte->host_dirty = pte->swap_valid;
-        mem->resident_bytes.fetch_add(pte->size, std::memory_order_relaxed);
-        mem->resident_gpu.store(gpu.value, std::memory_order_relaxed);
-        ctx_lru_touch(*mem, gpu.value, now_stamp.count());
+        // A fresh device allocation holds zeroes, exactly like swap bytes
+        // outside swap_valid: only the validated ranges need uploading to
+        // re-materialize the entry.
+        note_mapped(*mem, *pte, 0, pte->size, now_stamp.count());
         break;
       }
       if (dptr.status() != Status::ErrorMemoryAllocation) {
@@ -729,11 +947,7 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
         return result;
       }
       (void)swap_entry(*mem, *victim);
-      if (!counted_intra) {
-        stats_.intra_app_swaps.fetch_add(1, std::memory_order_relaxed);
-        counted_intra = true;
-        obs::emit_instant("intra-app-swap", "swap", obs::kRuntimePid, ctx.value, ctx.value);
-      }
+      count_intra_swap();
     }
     lru_touch(*mem, *pte, now_stamp);
   }
@@ -764,6 +978,12 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
         }
       }
       stamp_pages(*pte, pages, now_stamp.count());
+      if (!pte->prefetched_untouched.empty()) {
+        for (const u64 p : pages) {
+          const ByteRange r = page_range(*pte, p);
+          pte->prefetched_untouched.erase(r.begin, r.end);
+        }
+      }
       touched.emplace(pte, std::move(pages));
     }
     stats_.tlb_hits.fetch_add(hits, std::memory_order_relaxed);
@@ -794,7 +1014,7 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
       // stay behind and page in when a later launch names them. All hinted
       // pages already resident: nothing to ship, no writeback fence, and no
       // bulk transfer counted (the entry stays flagged for its cold pages).
-      up.ranges = pte->host_dirty.intersected(h->second).coalesced(kCoalesceGapBytes);
+      up.ranges = transfer_plan(*pte, pte->host_dirty.intersected(h->second));
       if (up.ranges.empty()) continue;
     } else {
       up.ranges = upload_ranges(*pte);
@@ -912,8 +1132,13 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
   // kernel that triggered the prediction; the next launch referencing the
   // entry fences on upload_done. Content lands immediately -- predictions
   // can only move modeled time, never change results. Only pages swap
-  // holds newer data for actually ship.
+  // holds newer data for actually ship. A predicted page that is not
+  // mapped is mapped first, at the cost of this context's own coldest
+  // walked page outside the launch (never another tenant's, never another
+  // prediction still waiting for its launch); it is stamped with its
+  // landing time, so it ranks as fresh, not as never touched.
   if (config_.paging) {
+    u64 evicted = 0;
     for (PageTableEntry* pte : closure) {
       if (hint_needed.find(pte) == hint_needed.end()) continue;
       const auto t = touched.find(pte);
@@ -925,14 +1150,19 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
       u64 shipped_pages = 0;
       u64 shipped_bytes = 0;
       for (const u64 p : predicted) {
-        const u64 begin = p * config_.page_bytes;
-        if (begin >= pte->size) continue;  // out-of-range prediction: dropped
-        const u64 end = std::min(begin + config_.page_bytes, pte->size);
-        IntervalSet want;
-        want.add(begin, end);
-        const IntervalSet ship = pte->host_dirty.intersected(want);
-        if (ship.empty()) continue;  // already resident (or never populated)
-        bool landed = false;
+        if (p >= page_count_of(*pte)) continue;  // out-of-range prediction: dropped
+        const ByteRange page = page_range(*pte, p);
+        if (!pte->mapped.contains(page.begin, page.end)) {
+          if (!pte->swap_valid.overlaps(page.begin, page.end)) continue;  // never populated
+          // Prefetch is best-effort: no memory, no page-in.
+          if (!ok(map_page(*mem, *pte, p, must_map, now_stamp.count(), /*demand=*/false,
+                           &evicted))) {
+            continue;
+          }
+        }
+        const IntervalSet ship = pte->host_dirty.intersected(IntervalSet::of(page.begin, page.end));
+        if (ship.empty()) continue;  // already resident
+        vt::TimePoint landed{};
         for (const ByteRange& r : ship.ranges()) {
           auto done = rt_->memcpy_h2d_async(
               pte->owner_client, pte->device_ptr + r.begin,
@@ -941,9 +1171,13 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
           pte->upload_done = std::max(pte->upload_done, done.value());
           pte->host_dirty.erase(r.begin, r.end);
           shipped_bytes += r.size();
-          landed = true;
+          landed = std::max(landed, done.value());
         }
-        if (landed) ++shipped_pages;
+        if (landed == vt::TimePoint{}) continue;
+        ++shipped_pages;
+        stamp_pages(*pte, {p}, landed.count());
+        pte->prefetched_untouched.add(page.begin, page.end);
+        must_map[pte].add(page.begin, page.end);  // later predictions keep it
       }
       if (shipped_pages > 0) {
         pte->to_copy_2_dev = !pte->host_dirty.empty();
@@ -953,6 +1187,8 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
         swap_in_bytes_counter().add(shipped_bytes);
       }
     }
+    if (evicted > 0) count_intra_swap();
+    for (PageTableEntry* pte : closure) audit_residency(*pte);
   }
 
   result.translated.reserve(args.size());
@@ -977,9 +1213,22 @@ bool MemoryManager::try_peer_move(CtxMem& mem, PageTableEntry& pte, GpuId gpu,
   if (src_dev == nullptr || dst_dev == nullptr || !src_dev->healthy() || !dst_dev->healthy()) {
     return false;
   }
-  auto dptr = rt_->malloc(client, pte.size);
+  // The destination mirrors the source's residency: the whole entry, or
+  // (paged engine) the same pages inside a fresh span.
+  auto dptr = config_.paging ? rt_->reserve(client, pte.size) : rt_->malloc(client, pte.size);
   if (!dptr) return false;  // destination full: fall back to the swap path
-  if (!ok(rt_->memcpy_peer(client, dptr.value(), pte.device_ptr, pte.size))) {
+  bool moved = true;
+  if (config_.paging) {
+    for (const u64 p : pte.mapped.pages(config_.page_bytes, pte.size)) {
+      const ByteRange r = page_range(pte, p);
+      moved = moved && ok(rt_->map(client, dptr.value() + r.begin, r.size()));
+    }
+  }
+  for (const ByteRange& r : pte.mapped.ranges()) {
+    moved = moved && ok(rt_->memcpy_peer(client, dptr.value() + r.begin,
+                                         pte.device_ptr + r.begin, r.size()));
+  }
+  if (!moved) {
     (void)rt_->free(client, dptr.value());
     return false;
   }
@@ -1014,8 +1263,32 @@ Status MemoryManager::swap_context(ContextId ctx) {
 Status MemoryManager::checkpoint(ContextId ctx) {
   CtxMemPtr mem = find(ctx);
   if (mem == nullptr) return Status::ErrorNoValidPte;
+  // All or nothing: a device lost part-way must not leave some entries at
+  // this checkpoint and others at the previous one, or a replay of the work
+  // since would run on a torn image. The swap bytes each write-back
+  // overwrites are saved first and put back if the device goes away.
+  struct Saved {
+    PageTableEntry* pte;
+    ByteRange range;
+    std::vector<std::byte> bytes;
+  };
+  std::vector<Saved> undo;
   for (auto& [vptr, pte] : mem->entries) {
-    if (const Status s = sync_to_swap(*pte); !ok(s)) return s;
+    if (pte->to_copy_2_swap && pte->is_allocated) {
+      for (const ByteRange& r : writeback_ranges(*pte)) {
+        const auto old = std::span(pte->swap).subspan(r.begin, r.size());
+        undo.push_back(Saved{pte.get(), r, std::vector<std::byte>(old.begin(), old.end())});
+      }
+    }
+    const Status s = sync_to_swap(*pte);
+    if (s == Status::ErrorDeviceUnavailable) {
+      for (const Saved& u : undo) {
+        std::copy(u.bytes.begin(), u.bytes.end(),
+                  u.pte->swap.begin() + static_cast<std::ptrdiff_t>(u.range.begin));
+      }
+      return s;
+    }
+    if (!ok(s)) return s;
     if (!pte->nested.empty()) rewrite_nested_to_virtual(*mem, *pte);
   }
   return Status::Ok;
@@ -1035,8 +1308,10 @@ void MemoryManager::on_device_lost(ContextId ctx, GpuId gpu) {
     pte->host_dirty.clear();     // recomputed from swap_valid on re-materialization
     tlb_flush_entry(*mem, *pte);
     pte->upload_done = vt::TimePoint{};
+    pte->prefetched_untouched.clear();
     lru_remove(*mem, *pte);
-    mem->resident_bytes.fetch_sub(pte->size, std::memory_order_relaxed);
+    mem->resident_bytes.fetch_sub(pte->mapped.total_bytes(), std::memory_order_relaxed);
+    pte->mapped.clear();
   }
   if (mem->resident_bytes.load(std::memory_order_relaxed) == 0) {
     mem->resident_gpu.store(0, std::memory_order_relaxed);
@@ -1049,6 +1324,17 @@ u64 MemoryManager::resident_bytes(ContextId ctx, GpuId gpu) const {
   if (mem == nullptr) return 0;
   if (GpuId{mem->resident_gpu.load(std::memory_order_relaxed)} != gpu) return 0;
   return mem->resident_bytes.load(std::memory_order_relaxed);
+}
+
+u64 MemoryManager::resident_bytes_on(GpuId gpu) const {
+  // Every context with residency is in the LRU directory.
+  std::scoped_lock lk(ctx_lru_.mu);
+  u64 total = 0;
+  for (const auto& [key, mem] : ctx_lru_.order) {
+    if (GpuId{mem->resident_gpu.load(std::memory_order_relaxed)} != gpu) continue;
+    total += mem->resident_bytes.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 std::optional<GpuId> MemoryManager::residency(ContextId ctx) const {
@@ -1361,7 +1647,7 @@ Status MemoryManager::apply_migration_delta(ContextId ctx, std::span<const u8> d
       const auto bytes = r.get_span();
       if (!r.ok() || bytes.size() != end - begin) return Status::ErrorProtocol;
       std::memcpy(pte->swap.data() + begin, bytes.data(), bytes.size());
-      if (pte->is_allocated) pte->host_dirty.add(begin, end);
+      mark_host_dirty(*pte, begin, end);
     }
     pte->to_copy_2_dev = true;  // swap is authoritative after a delta
     max_vptr_end = std::max(max_vptr_end, vptr + size);
@@ -1391,6 +1677,28 @@ u64 MemoryManager::naive_image_bytes(ContextId ctx) const {
     total += sizeof(u64) + pte->size;                       // full swap bytes
   }
   return total;
+}
+
+u64 MemoryManager::evict_pages(ContextId ctx, GpuId gpu, u64 needed) {
+  CtxMemPtr mem = find(ctx);
+  const sim::SimGpu* dev = rt_->machine().gpu(gpu);
+  if (mem == nullptr || dev == nullptr) return 0;
+  const i64 now_ns = rt_->machine().domain().now().count();
+  // The victim is idle (no launch pending), so every mapped page is a
+  // candidate. At least one page goes even when a hole already fits: the
+  // requester's map failed, whatever the reason.
+  u64 freed = 0;
+  do {
+    const PageVictim victim = coldest_page(*mem, gpu, {}, now_ns, /*take_prefetched=*/true);
+    if (victim.pte == nullptr) break;
+    const u64 bytes = page_range(*victim.pte, victim.page).size();
+    if (!ok(evict_page(*mem, *victim.pte, victim.page))) break;
+    freed += bytes;
+  } while (dev->largest_free_block() < needed);
+  if (freed > 0) {
+    obs::emit_instant("inter-app-page-evict", "swap", obs::kRuntimePid, ctx.value, ctx.value);
+  }
+  return freed;
 }
 
 void MemoryManager::count_inter_app_swap() {
@@ -1423,7 +1731,9 @@ MemStats MemoryManager::stats() const {
   out.tlb_hits = stats_.tlb_hits.load(std::memory_order_relaxed);
   out.tlb_misses = stats_.tlb_misses.load(std::memory_order_relaxed);
   out.prefetched_pages = stats_.prefetched_pages.load(std::memory_order_relaxed);
+  out.prefetch_unused_pages = stats_.prefetch_unused_pages.load(std::memory_order_relaxed);
   out.page_evictions = stats_.page_evictions.load(std::memory_order_relaxed);
+  out.residency_violations = stats_.residency_violations.load(std::memory_order_relaxed);
   return out;
 }
 

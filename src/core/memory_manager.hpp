@@ -64,7 +64,9 @@ struct PageTableEntry {
   DevicePtr device_ptr = kNullDevicePtr;
   u64 size = 0;
 
-  bool is_allocated = false;  ///< device_ptr holds a live device allocation
+  /// device_ptr holds a live device span: malloc'd whole by the entry
+  /// engine, reserved (and mapped page by page) by the paged engine.
+  bool is_allocated = false;
   bool to_copy_2_dev = false; ///< authoritative data only in swap
   bool to_copy_2_swap = false;///< authoritative data only on device
 
@@ -109,14 +111,27 @@ struct PageTableEntry {
   /// free. Survives swap-out, device loss and checkpoint/restore.
   IntervalSet swap_valid;
 
+  /// Device bytes backed by mapped memory inside the span: [0, size) while
+  /// an entry-engine entry is allocated; page-aligned ranges (the last page
+  /// clamped to size) the paged engine mapped one page at a time.
+  /// Discipline: dev_dirty and host_dirty never leave `mapped` -- only
+  /// mapped bytes can be newer on either side -- and every transfer plan is
+  /// clipped to it, so no copy ever touches an unmapped page.
+  IntervalSet mapped;
+
   // ---- Paged-engine state (MemoryConfig::paging) --------------------------
   // Pure performance metadata: never serialized (checkpoint images and
   // migration deltas are engine-agnostic) and never consulted for content
   // decisions -- losing it costs extra transfers, not correctness.
 
   /// Per-page last-use stamps (ns), sized to the entry's page count on
-  /// first paged touch; 0 = never touched. Feeds EvictionPolicy ranking.
+  /// first paged touch; 0 = never touched. A launch stamps the pages it
+  /// walks, a prefetch the pages it ships (at their landing time). Feeds
+  /// EvictionPolicy ranking.
   std::vector<i64> page_use_ns;
+  /// Pages a prefetch mapped that no launch has walked since; unmapping
+  /// one counts a wasted prefetch (MemStats::prefetch_unused_pages).
+  IntervalSet prefetched_untouched;
   /// Modeled completion time of an in-flight asynchronous prefetch page-in
   /// (H2D). Bytes land immediately; the next launch referencing the entry
   /// fences on this point -- the mirror of writeback_done. Zero = none.
@@ -144,7 +159,13 @@ struct MemStats {
   u64 tlb_hits = 0;
   u64 tlb_misses = 0;
   u64 prefetched_pages = 0;  ///< pages paged in asynchronously
-  u64 page_evictions = 0;    ///< pages freed by victim eviction
+  /// Prefetched pages unmapped (evicted or freed) before any launch
+  /// touched them: the share of prefetch traffic that bought nothing.
+  u64 prefetch_unused_pages = 0;
+  u64 page_evictions = 0;    ///< mapped pages freed by victim eviction
+  /// Paged entries found with device-dirty bytes outside their mapped pages
+  /// at a prepare or page-eviction exit. An invariant: must stay 0.
+  u64 residency_violations = 0;
 };
 
 /// Memory-manager settings. RuntimeConfig inherits this struct, so a
@@ -172,13 +193,12 @@ struct MemoryConfig {
 
   // ---- Paged engine -------------------------------------------------------
 
-  /// Page-granular residency: launch-path uploads, dirty marking, victim
-  /// ranking and prefetch operate on fixed-size pages scoped by the
-  /// launch's AccessHint annotations, with a per-context TLB model
-  /// charging miss costs on prepare_launch. Device allocations stay
-  /// whole-entry contiguous (kernel bodies address one span); pages
-  /// govern what *moves* and what *ages*, not where bytes live. False
-  /// keeps the entry-granular engine, byte-identical to pre-paging
+  /// Page-granular residency: each entry reserves its device span once and
+  /// maps, uploads, writes back and evicts fixed-size pages inside it,
+  /// scoped by the launch's AccessHint annotations, with a per-context TLB
+  /// model charging miss costs on prepare_launch. Kernel bodies still
+  /// address one contiguous span. False keeps the entry-granular engine
+  /// (one whole-span map per entry), byte-identical to pre-paging
   /// behaviour (hints are ignored entirely).
   bool paging = false;
   /// Fixed page size of the paged engine. Must be nonzero: the Runtime
@@ -225,13 +245,16 @@ class MemoryManager {
   struct PrepareResult {
     PrepareOutcome outcome = PrepareOutcome::Error;
     Status error = Status::Ok;
-    u64 needed_bytes = 0;  ///< on WouldBlock: size of the failed allocation
+    /// On WouldBlock: size of the failed allocation (an entry in the entry
+    /// engine, one page in the paged engine).
+    u64 needed_bytes = 0;
     std::vector<sim::KernelArg> translated;  ///< virtual -> device pointers
   };
 
   /// Materializes every page-table entry referenced by `args` on the GPU
-  /// behind `client` (allocate on demand, bulk-copy deferred data, patch
-  /// nested pointers, evict own idle entries on OOM) and translates the
+  /// behind `client` (allocate on demand -- whole entries, or the launch's
+  /// pages in the paged engine -- bulk-copy deferred data, patch nested
+  /// pointers, evict own idle entries or pages on OOM) and translates the
   /// pointer arguments. Marks referenced entries device-dirty.
   PrepareResult prepare_launch(ContextId ctx, GpuId gpu, ClientId client,
                                const std::vector<sim::KernelArg>& args);
@@ -242,6 +265,13 @@ class MemoryManager {
   /// Caller holds the victim's ContextLock.
   Status swap_context(ContextId ctx);
 
+  /// Inter-application page eviction (paged engine): writes back and
+  /// unmaps `ctx`'s coldest pages on `gpu` until the device has a hole of
+  /// `needed` bytes or the context has no mapped page left there. Returns
+  /// the bytes freed. The context keeps its spans and its hotter pages.
+  /// Caller holds the victim's ContextLock.
+  u64 evict_pages(ContextId ctx, GpuId gpu, u64 needed);
+
   /// Preemptive swap-out (quantum expiry): the same dirty-interval
   /// write-back as swap_context, counted separately so rotation traffic is
   /// distinguishable from OOM-driven inter-application swap. Caller holds
@@ -249,7 +279,9 @@ class MemoryManager {
   Status preempt_swap_out(ContextId ctx);
 
   /// Synchronizes all dirty entries to swap but keeps them resident:
-  /// afterwards the swap area is a consistent checkpoint.
+  /// afterwards the swap area is a consistent checkpoint. On
+  /// ErrorDeviceUnavailable the swap area is left at the previous
+  /// checkpoint instead (all entries, not some).
   Status checkpoint(ContextId ctx);
 
   /// Serializes the context's full memory state (PTE metadata, nested
@@ -293,8 +325,10 @@ class MemoryManager {
   u64 naive_image_bytes(ContextId ctx) const;
 
   // ---- Queries (thread-safe, no context lock needed) ------------------------
-  /// Bytes of `ctx` data currently resident on `gpu`.
+  /// Bytes of `ctx` data currently resident (mapped) on `gpu`.
   u64 resident_bytes(ContextId ctx, GpuId gpu) const;
+  /// Bytes mapped on `gpu` across every context.
+  u64 resident_bytes_on(GpuId gpu) const;
   /// GPU where this context has resident data (unique by construction), if any.
   std::optional<GpuId> residency(ContextId ctx) const;
   /// Total allocation footprint of the context (MemUsage in the paper).
@@ -383,11 +417,18 @@ class MemoryManager {
   /// Drops the context from the directory (residency gone).
   void ctx_lru_remove(CtxMem& mem) const;
 
+  /// Transfer plan for the `dirty` bytes of `pte`: the consolidated
+  /// ranges, clipped to the mapped pages so a bridged gap never crosses an
+  /// unmapped one.
+  std::vector<ByteRange> transfer_plan(const PageTableEntry& pte, const IntervalSet& dirty) const;
   /// The byte ranges a swap-path D2H write-back of this entry must ship
   /// (whole entry in naive mode, consolidated dev_dirty otherwise).
   std::vector<ByteRange> writeback_ranges(const PageTableEntry& pte) const;
   /// The byte ranges a re-materializing H2D upload must ship.
   std::vector<ByteRange> upload_ranges(const PageTableEntry& pte) const;
+  /// Marks swap bytes [begin, end) newer than the device copy -- only the
+  /// mapped part: an unmapped page uploads from swap when it is mapped.
+  static void mark_host_dirty(PageTableEntry& pte, u64 begin, u64 end);
 
   /// Ensures the device copy is synced into swap (costed d2h when dirty).
   Status sync_to_swap(PageTableEntry& pte);
@@ -402,11 +443,23 @@ class MemoryManager {
   /// async_writeback the D2H drain overlaps the caller's subsequent work.
   Status swap_entry(CtxMem& mem, PageTableEntry& pte);
 
-  /// Frees the entry's device block and dissolves its residency: TLB
-  /// translations, in-flight prefetch, LRU slot and resident-byte
-  /// accounting (dropping the context from the LRU directory when nothing
-  /// stays resident). Leaves the swap-side flags to the caller.
+  /// Frees the entry's device span and dissolves its residency: mapped
+  /// pages, TLB translations, in-flight prefetch, LRU slot and resident-
+  /// byte accounting (dropping the context from the LRU directory when
+  /// nothing stays resident). Leaves the swap-side flags to the caller.
   void release_device(CtxMem& mem, PageTableEntry& pte);
+
+  // ---- Mapped-byte accounting (caller holds the ContextLock) --------------
+  /// Records [begin, end) of the allocated entry as freshly mapped: the
+  /// new device bytes read zero, so every validated swap byte in the range
+  /// must upload (host_dirty), and the bytes count as resident.
+  void note_mapped(CtxMem& mem, PageTableEntry& pte, u64 begin, u64 end, i64 now_ns) const;
+  /// Drops `bytes` of mapped residency from the context (and the context
+  /// from the LRU directory when nothing stays resident).
+  void note_unmapped(CtxMem& mem, u64 bytes) const;
+  /// Counts the prefetched pages in [begin, end) no launch touched as
+  /// wasted, and forgets them.
+  void retire_prefetched(PageTableEntry& pte, u64 begin, u64 end);
 
   /// CUDA 4 direct migration of one resident entry to `gpu`; false on any
   /// obstacle (caller falls back to the swap path).
@@ -444,6 +497,37 @@ class MemoryManager {
   /// Stamps page-use recency for the touched pages (grows page_use_ns
   /// lazily on first paged touch).
   void stamp_pages(PageTableEntry& pte, const std::vector<u64>& pages, i64 now_ns);
+  /// Byte range of page `page` of the entry (the last page clamped).
+  ByteRange page_range(const PageTableEntry& pte, u64 page) const;
+  /// Drops the TLB translation of one page, if cached.
+  static void tlb_flush_page(CtxMem& mem, const PageTableEntry& pte, u64 page);
+
+  /// A page the victim walk picked: page `page` of `pte`.
+  struct PageVictim {
+    PageTableEntry* pte = nullptr;
+    u64 page = 0;
+  };
+  /// The context's coldest mapped page on `gpu` outside `keep` (per entry,
+  /// the byte ranges a pending launch needs), by the eviction policy's page
+  /// score; ties go to the entry LRU walk order, then the lower page.
+  /// Prefetched pages no launch has walked yet rank after every walked
+  /// page -- a prediction names a future use, a walked page's next use is
+  /// unknown -- and are skipped entirely unless `take_prefetched`.
+  PageVictim coldest_page(CtxMem& mem, GpuId gpu,
+                          const std::map<PageTableEntry*, IntervalSet>& keep, i64 now_ns,
+                          bool take_prefetched) const;
+  /// Writes back one mapped page's device-dirty bytes and unmaps it.
+  Status evict_page(CtxMem& mem, PageTableEntry& pte, u64 page);
+  /// Maps page `page` of the allocated entry, evicting the context's own
+  /// coldest pages outside `keep` while the device is full (a prefetch,
+  /// `!demand`, never evicts another prefetched page). Returns
+  /// ErrorMemoryAllocation when nothing is left to evict; `*evicted` counts
+  /// the pages it evicted.
+  Status map_page(CtxMem& mem, PageTableEntry& pte, u64 page,
+                  const std::map<PageTableEntry*, IntervalSet>& keep, i64 now_ns, bool demand,
+                  u64* evicted);
+  /// Counts a paged entry whose device-dirty bytes left its mapped pages.
+  void audit_residency(const PageTableEntry& pte);
 
   cudart::CudaRt* rt_;
   MemoryConfig config_;
@@ -473,7 +557,9 @@ class MemoryManager {
     std::atomic<u64> tlb_hits{0};
     std::atomic<u64> tlb_misses{0};
     std::atomic<u64> prefetched_pages{0};
+    std::atomic<u64> prefetch_unused_pages{0};
     std::atomic<u64> page_evictions{0};
+    std::atomic<u64> residency_violations{0};
   };
   mutable AtomicMemStats stats_;
 

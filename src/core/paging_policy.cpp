@@ -11,11 +11,17 @@ namespace {
 
 // ---- Built-in eviction policies --------------------------------------------
 
+/// A page's own last-use stamp; an unstamped page is as warm as its entry.
+i64 page_stamp(const EvictionCandidate& c, u64 page) {
+  const i64 stamp = page < c.page_use_ns.size() ? c.page_use_ns[page] : 0;
+  return stamp != 0 ? stamp : c.entry_last_use_ns;
+}
+
 /// Hottest-page recency: an entry is as warm as its most recently used
-/// page. Entries with no page stamps (never touched through a hint, or
-/// entry-granular history) fall back to the entry LRU stamp, which makes
-/// "page-lru" over unhinted workloads rank exactly like the entry-granular
-/// baseline's LRU walk.
+/// page, a page as warm as its own stamp. Entries with no page stamps
+/// (never touched through a hint, or entry-granular history) fall back to
+/// the entry LRU stamp, which makes "page-lru" over unhinted workloads rank
+/// exactly like the entry-granular baseline's LRU walk.
 class PageLruEviction : public EvictionPolicy {
  public:
   const char* name() const override { return "page-lru"; }
@@ -25,6 +31,10 @@ class PageLruEviction : public EvictionPolicy {
     for (const i64 stamp : c.page_use_ns) hottest = std::max(hottest, stamp);
     if (hottest == 0) hottest = c.entry_last_use_ns;
     return static_cast<double>(hottest);
+  }
+  double page_score(const EvictionCandidate& c, u64 page, i64 now_ns) const override {
+    (void)now_ns;
+    return static_cast<double>(page_stamp(c, page));
   }
 };
 
@@ -40,16 +50,27 @@ class WorkingSetEviction : public EvictionPolicy {
 
   const char* name() const override { return "working-set"; }
   double score(const EvictionCandidate& c, i64 now_ns) const override {
-    i64 in_window = 0;
     i64 hottest = 0;
-    for (const i64 stamp : c.page_use_ns) {
-      if (stamp != 0 && now_ns - stamp <= kWindowNs) ++in_window;
-      hottest = std::max(hottest, stamp);
-    }
+    for (const i64 stamp : c.page_use_ns) hottest = std::max(hottest, stamp);
     if (hottest == 0) hottest = c.entry_last_use_ns;
-    // Window population dominates; the stamp (ns, far below 1e15 in any
-    // simulated horizon) only breaks ties within a population class.
-    return static_cast<double>(in_window) * 1e15 + static_cast<double>(hottest);
+    return rank(in_window(c, now_ns), hottest);
+  }
+  double page_score(const EvictionCandidate& c, u64 page, i64 now_ns) const override {
+    return rank(in_window(c, now_ns), page_stamp(c, page));
+  }
+
+ private:
+  static i64 in_window(const EvictionCandidate& c, i64 now_ns) {
+    i64 n = 0;
+    for (const i64 stamp : c.page_use_ns) {
+      if (stamp != 0 && now_ns - stamp <= kWindowNs) ++n;
+    }
+    return n;
+  }
+  // Window population dominates; the stamp (ns, far below 1e15 in any
+  // simulated horizon) only breaks ties within a population class.
+  static double rank(i64 population, i64 stamp) {
+    return static_cast<double>(population) * 1e15 + static_cast<double>(stamp);
   }
 };
 

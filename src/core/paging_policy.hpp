@@ -5,12 +5,10 @@
 // (and the gpuvmd / bench command lines). Two policy kinds plug into the
 // memory manager:
 //
-//   EvictionPolicy -- ranks intra-application swap victims, in both the
-//   entry-granular and the paged engine (MemoryConfig::paging). The device
-//   allocation stays whole-entry contiguous (kernel bodies address one
-//   span), so the policy ranks *entries*, but it sees the per-page
-//   last-use stamps the paged engine maintains and may rank by page
-//   temperature instead of the entry-level LRU stamp.
+//   EvictionPolicy -- ranks swap victims. The entry-granular engine evicts
+//   whole entries and asks for an entry score; the paged engine maps and
+//   evicts single pages (MemoryConfig::paging) and asks for a page score.
+//   Both see the per-page last-use stamps the paged engine maintains.
 //
 //   PrefetchPolicy -- predicts the pages a context will touch next, from
 //   the (deterministic) sequence of hinted page accesses. Predicted pages
@@ -33,8 +31,8 @@
 
 namespace gpuvm::core {
 
-/// Snapshot of one eviction candidate: an allocated page-table entry the
-/// pending launch does not reference.
+/// Snapshot of one eviction candidate: an allocated page-table entry (for
+/// page scores, the entry owning the candidate page).
 struct EvictionCandidate {
   u64 virtual_ptr = 0;
   u64 size = 0;
@@ -56,6 +54,10 @@ class EvictionPolicy {
   /// Victim score: the candidate with the *smallest* score is evicted
   /// first. Callers break ties deterministically (entry LRU order).
   virtual double score(const EvictionCandidate& c, i64 now_ns) const = 0;
+  /// Page victim score for page `page` of the candidate entry, same
+  /// convention (smallest evicts first; callers break ties by entry LRU
+  /// order, then page index).
+  virtual double page_score(const EvictionCandidate& c, u64 page, i64 now_ns) const = 0;
 };
 
 /// The page-access outcome of one hinted launch against one entry.
@@ -80,11 +82,13 @@ class PrefetchPolicy {
 };
 
 /// Built-in policies, fixed name tables. Eviction:
-///   page-lru    -- evict the entry whose hottest page is coldest; entries
-///                  without page stamps rank by their entry LRU stamp
-///                  (bit-identical to the entry-granular LRU baseline)
-///   working-set -- evict the entry with the fewest pages touched inside
-///                  the working-set window, page-LRU on ties
+///   page-lru    -- evict the entry whose hottest page is coldest (the
+///                  coldest page); without page stamps rank by the entry
+///                  LRU stamp (bit-identical to the entry-granular LRU
+///                  baseline)
+///   working-set -- evict the entry (a page of the entry) with the fewest
+///                  pages touched inside the working-set window, page-LRU
+///                  on ties
 /// Prefetch:
 ///   none       -- demand paging only
 ///   sequential -- page in the pages following the highest accessed page

@@ -362,7 +362,9 @@ void Runtime::publish_metrics() const {
   gauge(mm_prefix + "tlb_hits", static_cast<double>(ms.tlb_hits));
   gauge(mm_prefix + "tlb_misses", static_cast<double>(ms.tlb_misses));
   gauge(mm_prefix + "prefetched_pages", static_cast<double>(ms.prefetched_pages));
+  gauge(mm_prefix + "prefetch_unused_pages", static_cast<double>(ms.prefetch_unused_pages));
   gauge(mm_prefix + "page_evictions", static_cast<double>(ms.page_evictions));
+  gauge(mm_prefix + "residency_violations", static_cast<double>(ms.residency_violations));
   gauge(mm_prefix + "shard_contention", static_cast<double>(mm_->shard_contention()));
 
   const vt::Domain::ClockStats cs = rt_->machine().domain().clock_stats();
@@ -1213,7 +1215,8 @@ bool Runtime::evict_one_victim(GpuId gpu, u64 needed, ContextId requester) {
   // Inter-application swap (section 4.5): ask one co-resident application
   // holding enough memory to vacate the device. Only applications in a CPU
   // phase (unbound) accept; a busy or locked victim refuses, and if freeing
-  // the memory would take multiple victims we do not swap at all.
+  // the memory would take multiple victims we do not swap at all. Under the
+  // paged engine the victim vacates pages, not the device.
   for (ContextId vid : mm_->victim_candidates(gpu, needed, requester)) {
     auto victim = find_context(vid);
     if (victim == nullptr || victim->pinned) continue;
@@ -1227,6 +1230,18 @@ bool Runtime::evict_one_victim(GpuId gpu, u64 needed, ContextId requester) {
       transport::MessageChannel* victim_channel =
           victim->channel.load(std::memory_order_acquire);
       accepts = victim_channel != nullptr && !victim_channel->pending();
+    }
+    if (accepts && config_.paging) {
+      // Paged engine: the victim gives up only enough of its coldest pages
+      // for the request, keeps its spans and hot pages, and stays bound.
+      const u64 freed = mm_->evict_pages(vid, gpu, needed);
+      victim->lock.unlock();
+      if (freed == 0) continue;
+      log::debug("inter-app page eviction: %llu bytes of ctx %llu on gpu %llu",
+                 static_cast<unsigned long long>(freed),
+                 static_cast<unsigned long long>(vid.value),
+                 static_cast<unsigned long long>(gpu.value));
+      return true;
     }
     if (accepts) {
       (void)mm_->swap_context(vid);
@@ -1349,16 +1364,18 @@ Status Runtime::do_launch(Context& ctx, transport::MessageChannel& channel,
           vt::StopWatch watch(dom);
           result = rt_->launch_by_name(binding.client, name, config, prep.translated);
           const double elapsed = watch.elapsed_seconds();
-          if (result == Status::ErrorDeviceUnavailable) {
-            // GPU died under us: roll residency back to the swap copies and
-            // replay on a surviving device ("resilient to GPU failures").
+          // GPU died under us: roll residency back to the swap copies and
+          // replay on a surviving device ("resilient to GPU failures").
+          const auto replay_elsewhere = [&](const char* why) {
             mm_->on_device_lost(ctx.id, binding.gpu);
             next = Next::RebindAfterFailure;
             ++recovery_attempts;
-            obs::emit_instant("kernel-lost", "recover", obs::kRuntimePid, ctx.id.value,
-                              ctx.id.value);
+            obs::emit_instant(why, "recover", obs::kRuntimePid, ctx.id.value, ctx.id.value);
             recoveries_counter().add(1);
             stats_.recoveries.fetch_add(1, std::memory_order_relaxed);
+          };
+          if (result == Status::ErrorDeviceUnavailable) {
+            replay_elsewhere("kernel-lost");
             break;
           }
           ctx.gpu_time_used_seconds += elapsed;
@@ -1366,7 +1383,13 @@ Status Runtime::do_launch(Context& ctx, transport::MessageChannel& channel,
               elapsed >= config_.auto_checkpoint_after_kernel_seconds) {
             // Automatic checkpoint after long kernels bounds the restart
             // penalty of a later failure (section 4.6).
-            (void)mm_->checkpoint(ctx.id);
+            if (mm_->checkpoint(ctx.id) == Status::ErrorDeviceUnavailable) {
+              // The device died before the kernel's output reached swap,
+              // which is back at the previous checkpoint. The application
+              // has not seen Ok yet: replay the kernel elsewhere.
+              replay_elsewhere("checkpoint-lost");
+              break;
+            }
             stats_.auto_checkpoints.fetch_add(1, std::memory_order_relaxed);
           }
           next = Next::Done;

@@ -119,7 +119,8 @@ Status CudaRt::register_texture(ClientId id, u64 module, const std::string& name
   return Status::Ok;
 }
 
-Result<DevicePtr> CudaRt::malloc(ClientId id, u64 size) {
+template <typename Make>
+Result<DevicePtr> CudaRt::allocate(ClientId id, Make make) {
   sim::SimGpu* gpu = nullptr;
   {
     std::scoped_lock lock(mu_);
@@ -129,7 +130,7 @@ Result<DevicePtr> CudaRt::malloc(ClientId id, u64 size) {
     if (!ensured) return record(*client, ensured.status());
     gpu = ensured.value();
   }
-  auto ptr = gpu->malloc(size);
+  Result<DevicePtr> ptr = make(*gpu);
   std::scoped_lock lock(mu_);
   Client* client = find_client_locked(id);
   if (client == nullptr) {
@@ -139,6 +140,44 @@ Result<DevicePtr> CudaRt::malloc(ClientId id, u64 size) {
   if (!ptr) return record(*client, ptr.status());
   client->allocations.insert(ptr.value());
   return ptr.value();
+}
+
+Result<DevicePtr> CudaRt::malloc(ClientId id, u64 size) {
+  return allocate(id, [size](sim::SimGpu& gpu) { return gpu.malloc(size); });
+}
+
+Result<DevicePtr> CudaRt::reserve(ClientId id, u64 size) {
+  return allocate(id, [size](sim::SimGpu& gpu) { return gpu.reserve(size); });
+}
+
+template <typename Op>
+Status CudaRt::span_op(ClientId id, DevicePtr ptr, Op op) {
+  sim::SimGpu* gpu = nullptr;
+  {
+    std::scoped_lock lock(mu_);
+    Client* client = find_client_locked(id);
+    if (client == nullptr) return Status::ErrorInvalidValue;
+    // The span holding `ptr` is the client's last one starting at or below
+    // it; the device checks that `ptr` is really inside.
+    const auto it = client->allocations.upper_bound(ptr);
+    if (!client->has_context || it == client->allocations.begin()) {
+      return record(*client, Status::ErrorInvalidDevicePointer);
+    }
+    gpu = context_gpu_locked(*client);
+  }
+  if (gpu == nullptr) return Status::ErrorInvalidDevice;
+  const Status s = op(*gpu);
+  std::scoped_lock lock(mu_);
+  if (Client* client = find_client_locked(id)) return record(*client, s);
+  return s;
+}
+
+Status CudaRt::map(ClientId id, DevicePtr ptr, u64 size) {
+  return span_op(id, ptr, [&](sim::SimGpu& gpu) { return gpu.map(ptr, size); });
+}
+
+Status CudaRt::unmap(ClientId id, DevicePtr ptr, u64 size) {
+  return span_op(id, ptr, [&](sim::SimGpu& gpu) { return gpu.unmap(ptr, size); });
 }
 
 StatusOr<CudaRt::PitchedAlloc> CudaRt::malloc_pitch(ClientId id, u64 width, u64 height) {

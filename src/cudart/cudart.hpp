@@ -90,7 +90,15 @@ class CudaRt {
     u64 pitch = 0;  ///< row stride in bytes (width padded to 256)
   };
   StatusOr<PitchedAlloc> malloc_pitch(ClientId id, u64 width, u64 height);
+  /// Frees a span from malloc or reserve (every chunk mapped in it too).
   Status free(ClientId id, DevicePtr ptr);
+  /// Reserves device address space on the client's device without charging
+  /// capacity (SimGpu::reserve); map() backs it piecewise, free() releases it.
+  Result<DevicePtr> reserve(ClientId id, u64 size);
+  /// Maps / unmaps device memory inside one of the client's spans
+  /// (SimGpu::map / SimGpu::unmap).
+  Status map(ClientId id, DevicePtr ptr, u64 size);
+  Status unmap(ClientId id, DevicePtr ptr, u64 size);
   Status memcpy_h2d(ClientId id, DevicePtr dst, std::span<const std::byte> src);
   /// Host->device without blocking for the modeled transfer: the bytes are
   /// placed immediately and the returned time point is when the copy
@@ -147,7 +155,7 @@ class CudaRt {
     bool has_context = false;
     int context_device = -1;
     DevicePtr reservation = kNullDevicePtr;
-    std::set<DevicePtr> allocations;
+    std::set<DevicePtr> allocations;  ///< span base addresses
     std::map<u64, Module> modules;
     u64 next_module = 1;
     Status last_error = Status::Ok;
@@ -163,6 +171,14 @@ class CudaRt {
   Client* find_client_locked(ClientId id);
   const Client* find_client_locked(ClientId id) const;
   Status record(Client& client, Status s);
+  // Shared body of malloc and reserve: creates a span on the client's device
+  // with `make` and records it as the client's allocation.
+  template <typename Make>
+  Result<DevicePtr> allocate(ClientId id, Make make);
+  // Shared body of map and unmap: runs `op` on the device of the client
+  // span containing `ptr`.
+  template <typename Op>
+  Status span_op(ClientId id, DevicePtr ptr, Op op);
 
   sim::SimMachine* machine_;
   u64 reservation_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "common/log.hpp"
 #include "obs/metric_names.hpp"
@@ -14,6 +15,11 @@ namespace {
 // Device address spaces start at a nonzero base so 0 stays a null pointer;
 // each GPU gets a distinct base so cross-device pointer mixups are caught.
 constexpr u64 kAddressStride = 1ull << 40;
+/// reserve() hands out addresses from the upper half of a device's stride,
+/// far above any malloc placement.
+constexpr u64 kReserveBase = kAddressStride / 2;
+/// Alignment of reserved spans (the allocator's alignment).
+constexpr u64 kSpanAlign = 256;
 
 obs::Histogram& kernel_seconds_hist() {
   static obs::Histogram& h =
@@ -34,7 +40,8 @@ SimGpu::SimGpu(GpuId id, GpuSpec spec, SimParams params, vt::Domain& dom)
       spec_(std::move(spec)),
       params_(params),
       dom_(&dom),
-      allocator_(kAddressStride * id.value, spec_.memory_bytes / 256 * 256),
+      allocator_(kAddressStride * id.value, spec_.memory_bytes / kSpanAlign * kSpanAlign),
+      next_reserve_(kAddressStride * id.value + kReserveBase),
       compute_(dom),
       copy_(dom) {
   if (obs::TraceRecorder* tr = obs::tracer()) {
@@ -72,24 +79,32 @@ Status SimGpu::check_healthy_and_count() {
   return Status::Ok;  // disarmed
 }
 
-Result<DevicePtr> SimGpu::malloc(u64 size) {
-  if (const Status s = check_healthy_and_count(); !ok(s)) return s;
-  // Allocation-failure pulse (chaos injection): claim one forced failure.
+bool SimGpu::claim_alloc_fault() {
   i64 pending = alloc_fault_countdown_.load(std::memory_order_acquire);
   while (pending > 0) {
     if (alloc_fault_countdown_.compare_exchange_weak(
             pending, pending - 1, std::memory_order_acq_rel, std::memory_order_acquire)) {
-      std::scoped_lock lock(mem_mu_);
-      ++stats_.alloc_faults;
-      return Status::ErrorMemoryAllocation;
+      return true;
     }
   }
+  return false;
+}
+
+Result<DevicePtr> SimGpu::malloc(u64 size) {
+  if (const Status s = check_healthy_and_count(); !ok(s)) return s;
   std::scoped_lock lock(mem_mu_);
+  // Allocation-failure pulse (chaos injection): claim one forced failure.
+  if (claim_alloc_fault()) {
+    ++stats_.alloc_faults;
+    return Status::ErrorMemoryAllocation;
+  }
   const auto addr = allocator_.allocate(size);
   if (!addr.has_value()) return Status::ErrorMemoryAllocation;
-  auto block = std::make_unique<Block>();
-  block->data.resize(allocator_.allocation_size(*addr).value());
-  blocks_.emplace(*addr, std::move(block));
+  // The span sits at its only chunk's placement and is mapped whole.
+  const u64 bytes = allocator_.allocation_size(*addr).value();
+  auto span = std::make_unique<Span>(Span{SpanMemory::heap(bytes), {}});
+  span->chunks.emplace(0, Chunk{bytes, *addr});
+  spans_.emplace(*addr, std::move(span));
   ++stats_.mallocs;
   return *addr;
 }
@@ -97,36 +112,128 @@ Result<DevicePtr> SimGpu::malloc(u64 size) {
 Status SimGpu::free(DevicePtr ptr) {
   if (const Status s = check_healthy_and_count(); !ok(s)) return s;
   std::scoped_lock lock(mem_mu_);
-  if (!allocator_.release(ptr)) return Status::ErrorInvalidDevicePointer;
-  blocks_.erase(ptr);
+  const auto it = spans_.find(ptr);
+  if (it == spans_.end()) return Status::ErrorInvalidDevicePointer;
+  for (const auto& [offset, chunk] : it->second->chunks) (void)allocator_.release(chunk.phys);
+  spans_.erase(it);
   ++stats_.frees;
   return Status::Ok;
 }
 
-SimGpu::Block* SimGpu::locate_locked(DevicePtr addr, u64* offset) {
-  return const_cast<Block*>(std::as_const(*this).locate_locked(addr, offset));
+Result<DevicePtr> SimGpu::reserve(u64 size) {
+  if (const Status s = check_healthy_and_count(); !ok(s)) return s;
+  if (size == 0) return Status::ErrorInvalidValue;
+  std::scoped_lock lock(mem_mu_);
+  const u64 bytes = (size + kSpanAlign - 1) / kSpanAlign * kSpanAlign;
+  const DevicePtr addr = next_reserve_;
+  // One alignment unit of guard keeps a one-past-the-end pointer out of the
+  // next span.
+  next_reserve_ += bytes + kSpanAlign;
+  // Unmapped bytes read as poison: a kernel that reads a page nobody paged
+  // in sees this instead of plausible data.
+  spans_.emplace(addr, std::make_unique<Span>(Span{SpanMemory::reserved(bytes), {}}));
+  return addr;
 }
 
-const SimGpu::Block* SimGpu::locate_locked(DevicePtr addr, u64* offset) const {
-  auto it = blocks_.upper_bound(addr);
-  if (it == blocks_.begin()) return nullptr;
+Status SimGpu::map(DevicePtr ptr, u64 size) {
+  if (const Status s = check_healthy_and_count(); !ok(s)) return s;
+  std::scoped_lock lock(mem_mu_);
+  u64 offset = 0;
+  Span* span = locate_locked(ptr, &offset);
+  if (span == nullptr) return Status::ErrorInvalidDevicePointer;
+  if (size == 0 || offset + size > span->memory.size()) return Status::ErrorInvalidValue;
+  // No overlap with a mapped chunk: the one starting at or after `offset`
+  // must start past the range, the one before must end at or before it.
+  auto next = span->chunks.lower_bound(offset);
+  if (next != span->chunks.end() && next->first < offset + size) return Status::ErrorInvalidValue;
+  if (next != span->chunks.begin()) {
+    const auto prev = std::prev(next);
+    if (prev->first + prev->second.size > offset) return Status::ErrorInvalidValue;
+  }
+  if (claim_alloc_fault()) {
+    ++stats_.alloc_faults;
+    return Status::ErrorMemoryAllocation;
+  }
+  const auto phys = allocator_.allocate(size);
+  if (!phys.has_value()) return Status::ErrorMemoryAllocation;
+  span->chunks.emplace(offset, Chunk{size, *phys});
+  span->memory.fill_zero(offset, size);
+  return Status::Ok;
+}
+
+Status SimGpu::unmap(DevicePtr ptr, u64 size) {
+  if (const Status s = check_healthy_and_count(); !ok(s)) return s;
+  std::scoped_lock lock(mem_mu_);
+  u64 offset = 0;
+  Span* span = locate_locked(ptr, &offset);
+  if (span == nullptr) return Status::ErrorInvalidDevicePointer;
+  // The range must be exactly a run of back-to-back chunks.
+  const auto first = span->chunks.find(offset);
+  auto last = first;
+  u64 end = offset;
+  while (last != span->chunks.end() && last->first == end && end < offset + size) {
+    end += last->second.size;
+    ++last;
+  }
+  if (first == span->chunks.end() || end != offset + size) return Status::ErrorInvalidValue;
+  for (auto it = first; it != last; ++it) (void)allocator_.release(it->second.phys);
+  span->chunks.erase(first, last);
+  span->memory.fill_poison(offset, size);
+  return Status::Ok;
+}
+
+SimGpu::Span* SimGpu::locate_locked(DevicePtr addr, u64* offset) {
+  return const_cast<Span*>(std::as_const(*this).locate_locked(addr, offset));
+}
+
+const SimGpu::Span* SimGpu::locate_locked(DevicePtr addr, u64* offset) const {
+  auto it = spans_.upper_bound(addr);
+  if (it == spans_.begin()) return nullptr;
   --it;
   const u64 start = it->first;
-  const u64 size = it->second->data.size();
+  const u64 size = it->second->memory.size();
   if (addr < start || addr >= start + size) return nullptr;
   *offset = addr - start;
   return it->second.get();
+}
+
+std::span<std::byte> SimGpu::mapped_bytes_locked(DevicePtr addr, u64 size, Status* status) {
+  u64 offset = 0;
+  Span* span = locate_locked(addr, &offset);
+  if (span == nullptr) {
+    *status = Status::ErrorInvalidDevicePointer;
+    return {};
+  }
+  if (offset + size > span->memory.size()) {
+    *status = Status::ErrorInvalidValue;
+    return {};
+  }
+  // Walk the chunks from the one holding `offset`; they must tile the range.
+  auto it = span->chunks.upper_bound(offset);
+  u64 covered = offset;
+  if (it != span->chunks.begin()) {
+    --it;
+    while (it != span->chunks.end() && it->first <= covered && covered < offset + size) {
+      covered = std::max(covered, it->first + it->second.size);
+      ++it;
+    }
+  }
+  if (covered < offset + size) {
+    *status = Status::ErrorInvalidDevicePointer;  // touches unmapped bytes
+    return {};
+  }
+  *status = Status::Ok;
+  return span->memory.bytes().subspan(offset, size);
 }
 
 Status SimGpu::copy_to_device(DevicePtr dst, std::span<const std::byte> src) {
   if (const Status s = check_healthy_and_count(); !ok(s)) return s;
   {
     std::scoped_lock lock(mem_mu_);
-    u64 offset = 0;
-    Block* block = locate_locked(dst, &offset);
-    if (block == nullptr) return Status::ErrorInvalidDevicePointer;
-    if (offset + src.size() > block->data.size()) return Status::ErrorInvalidValue;
-    std::memcpy(block->data.data() + offset, src.data(), src.size());
+    Status s = Status::Ok;
+    const std::span<std::byte> bytes = mapped_bytes_locked(dst, src.size(), &s);
+    if (!ok(s)) return s;
+    std::memcpy(bytes.data(), src.data(), src.size());
     stats_.bytes_to_device += src.size();
   }
   vt::TimePoint start{};
@@ -145,11 +252,10 @@ Result<vt::TimePoint> SimGpu::copy_to_device_async(DevicePtr dst,
   if (const Status s = check_healthy_and_count(); !ok(s)) return s;
   {
     std::scoped_lock lock(mem_mu_);
-    u64 offset = 0;
-    Block* block = locate_locked(dst, &offset);
-    if (block == nullptr) return Status::ErrorInvalidDevicePointer;
-    if (offset + src.size() > block->data.size()) return Status::ErrorInvalidValue;
-    std::memcpy(block->data.data() + offset, src.data(), src.size());
+    Status s = Status::Ok;
+    const std::span<std::byte> bytes = mapped_bytes_locked(dst, src.size(), &s);
+    if (!ok(s)) return s;
+    std::memcpy(bytes.data(), src.data(), src.size());
     stats_.bytes_to_device += src.size();
   }
   vt::TimePoint start{};
@@ -166,11 +272,10 @@ Status SimGpu::copy_from_device(std::span<std::byte> dst, DevicePtr src, u64 siz
   if (dst.size() < size) return Status::ErrorInvalidValue;
   {
     std::scoped_lock lock(mem_mu_);
-    u64 offset = 0;
-    const Block* block = locate_locked(src, &offset);
-    if (block == nullptr) return Status::ErrorInvalidDevicePointer;
-    if (offset + size > block->data.size()) return Status::ErrorInvalidValue;
-    std::memcpy(dst.data(), block->data.data() + offset, size);
+    Status s = Status::Ok;
+    const std::span<std::byte> bytes = mapped_bytes_locked(src, size, &s);
+    if (!ok(s)) return s;
+    std::memcpy(dst.data(), bytes.data(), size);
     stats_.bytes_from_device += size;
   }
   vt::TimePoint start{};
@@ -189,11 +294,10 @@ Result<vt::TimePoint> SimGpu::copy_from_device_async(std::span<std::byte> dst, D
   if (dst.size() < size) return Status::ErrorInvalidValue;
   {
     std::scoped_lock lock(mem_mu_);
-    u64 offset = 0;
-    const Block* block = locate_locked(src, &offset);
-    if (block == nullptr) return Status::ErrorInvalidDevicePointer;
-    if (offset + size > block->data.size()) return Status::ErrorInvalidValue;
-    std::memcpy(dst.data(), block->data.data() + offset, size);
+    Status s = Status::Ok;
+    const std::span<std::byte> bytes = mapped_bytes_locked(src, size, &s);
+    if (!ok(s)) return s;
+    std::memcpy(dst.data(), bytes.data(), size);
     stats_.bytes_from_device += size;
   }
   vt::TimePoint start{};
@@ -209,15 +313,12 @@ Status SimGpu::copy_device_to_device(DevicePtr dst, DevicePtr src, u64 size) {
   if (const Status s = check_healthy_and_count(); !ok(s)) return s;
   {
     std::scoped_lock lock(mem_mu_);
-    u64 src_off = 0;
-    u64 dst_off = 0;
-    const Block* sblock = locate_locked(src, &src_off);
-    Block* dblock = locate_locked(dst, &dst_off);
-    if (sblock == nullptr || dblock == nullptr) return Status::ErrorInvalidDevicePointer;
-    if (src_off + size > sblock->data.size() || dst_off + size > dblock->data.size()) {
-      return Status::ErrorInvalidValue;
-    }
-    std::memmove(dblock->data.data() + dst_off, sblock->data.data() + src_off, size);
+    Status s = Status::Ok;
+    const std::span<std::byte> from = mapped_bytes_locked(src, size, &s);
+    if (!ok(s)) return s;
+    const std::span<std::byte> to = mapped_bytes_locked(dst, size, &s);
+    if (!ok(s)) return s;
+    std::memmove(to.data(), from.data(), size);
   }
   // On-device copies run at device-memory bandwidth (read + write).
   const double seconds = 2.0 * static_cast<double>(size) *
@@ -241,11 +342,10 @@ Status SimGpu::copy_from_peer(DevicePtr dst, SimGpu& peer, DevicePtr src, u64 si
     std::vector<std::byte> staging(size);
     if (const Status s = peer.peek(staging, src, size); !ok(s)) return s;
     std::scoped_lock lock(mem_mu_);
-    u64 offset = 0;
-    Block* block = locate_locked(dst, &offset);
-    if (block == nullptr) return Status::ErrorInvalidDevicePointer;
-    if (offset + size > block->data.size()) return Status::ErrorInvalidValue;
-    std::memcpy(block->data.data() + offset, staging.data(), size);
+    Status s = Status::Ok;
+    const std::span<std::byte> bytes = mapped_bytes_locked(dst, size, &s);
+    if (!ok(s)) return s;
+    std::memcpy(bytes.data(), staging.data(), size);
   }
   // One DMA hop at PCIe speed (GPUDirect peer-to-peer), vs. two for a
   // bounce through host memory.
@@ -260,22 +360,22 @@ Status SimGpu::copy_from_peer(DevicePtr dst, SimGpu& peer, DevicePtr src, u64 si
 }
 
 Status SimGpu::peek(std::span<std::byte> dst, DevicePtr src, u64 size) const {
+  if (dst.size() < size) return Status::ErrorInvalidValue;
   std::scoped_lock lock(mem_mu_);
-  u64 offset = 0;
-  const Block* block = locate_locked(src, &offset);
-  if (block == nullptr) return Status::ErrorInvalidDevicePointer;
-  if (offset + size > block->data.size() || dst.size() < size) return Status::ErrorInvalidValue;
-  std::memcpy(dst.data(), block->data.data() + offset, size);
+  Status s = Status::Ok;
+  const std::span<std::byte> bytes =
+      const_cast<SimGpu*>(this)->mapped_bytes_locked(src, size, &s);
+  if (!ok(s)) return s;
+  std::memcpy(dst.data(), bytes.data(), size);
   return Status::Ok;
 }
 
 Status SimGpu::poke(DevicePtr dst, std::span<const std::byte> src) {
   std::scoped_lock lock(mem_mu_);
-  u64 offset = 0;
-  Block* block = locate_locked(dst, &offset);
-  if (block == nullptr) return Status::ErrorInvalidDevicePointer;
-  if (offset + src.size() > block->data.size()) return Status::ErrorInvalidValue;
-  std::memcpy(block->data.data() + offset, src.data(), src.size());
+  Status s = Status::Ok;
+  const std::span<std::byte> bytes = mapped_bytes_locked(dst, src.size(), &s);
+  if (!ok(s)) return s;
+  std::memcpy(bytes.data(), src.data(), src.size());
   return Status::Ok;
 }
 
@@ -294,22 +394,23 @@ Status SimGpu::launch(const KernelDef& def, const LaunchConfig& config,
     for (size_t i = 0; i < args.size(); ++i) {
       if (!args[i].is_dev_ptr()) continue;
       u64 offset = 0;
-      Block* block = locate_locked(args[i].as_ptr(), &offset);
-      if (block == nullptr) return Status::ErrorInvalidDevicePointer;
-      buffers[i] = std::span<std::byte>(block->data).subspan(offset);
+      Span* span = locate_locked(args[i].as_ptr(), &offset);
+      if (span == nullptr) return Status::ErrorInvalidDevicePointer;
+      buffers[i] = span->memory.bytes().subspan(offset);
     }
     ++stats_.kernels_launched;
   }
 
   // Execute the real math. Contexts never share allocations (isolation is
-  // what the runtime under test provides), so disjoint blocks make this
-  // safe to run outside mem_mu_ while other contexts allocate.
+  // what the runtime under test provides), so disjoint spans make this
+  // safe to run outside mem_mu_ while other contexts allocate. A body sees
+  // its whole span; unmapped pages read as poison.
   KernelExecContext::Resolver resolver = [this](DevicePtr ptr) -> std::span<std::byte> {
     std::scoped_lock lock(mem_mu_);
     u64 offset = 0;
-    Block* block = locate_locked(ptr, &offset);
-    if (block == nullptr) return {};
-    return std::span<std::byte>(block->data).subspan(offset);
+    Span* span = locate_locked(ptr, &offset);
+    if (span == nullptr) return {};
+    return span->memory.bytes().subspan(offset);
   };
   KernelExecContext ctx(config, args, std::move(buffers), std::move(resolver));
   const Status body_status =
@@ -354,7 +455,7 @@ u64 SimGpu::largest_free_block() const {
 
 u64 SimGpu::live_allocation_count() const {
   std::scoped_lock lock(mem_mu_);
-  return blocks_.size();
+  return spans_.size();
 }
 
 GpuStats SimGpu::stats() const {

@@ -3,7 +3,9 @@
 // Stands in for the NVIDIA Fermi/GT200 cards of the paper's testbed. The
 // device exposes exactly the observables the runtime under study reacts to:
 //   - device-memory allocation with realistic fragmentation (first-fit
-//     address-space allocator) and capacity-based OOM,
+//     address-space allocator) and capacity-based OOM, plus a reserve/map
+//     interface (cuMemAddressReserve / cuMemMap style) that backs a reserved
+//     address span with device memory one chunk at a time,
 //   - host<->device transfers costed by PCIe bandwidth,
 //   - kernel execution costed by the card's sustained compute / memory
 //     rates, serialized FCFS on a single compute engine (CUDA 3.2 contexts
@@ -30,6 +32,7 @@
 #include "sim/allocator.hpp"
 #include "sim/gpu_spec.hpp"
 #include "sim/kernels.hpp"
+#include "sim/span_memory.hpp"
 
 namespace gpuvm::sim {
 
@@ -59,8 +62,31 @@ class SimGpu {
   const SimParams& params() const { return params_; }
 
   // ---- Memory management -------------------------------------------------
+  // One mechanism: every allocation is an address *span* whose bytes are
+  // backed by mapped *chunks*, each charged against the first-fit allocator
+  // at its own placement. Kernel bodies and copies address a span as one
+  // contiguous range; bytes outside every chunk hold a poison pattern and
+  // copies touching them fail, so a missed page-in cannot pass silently.
+
+  /// cudaMalloc: a span mapped whole by one chunk. The span's address is
+  /// the chunk's first-fit placement, so placement, fragmentation and OOM
+  /// are exactly those of one contiguous block. Fresh bytes read zero.
   Result<DevicePtr> malloc(u64 size);
+  /// Releases a span from malloc or reserve, unmapping every chunk in it.
   Status free(DevicePtr ptr);
+  /// Reserves `size` bytes of device address space without charging any
+  /// capacity (cuMemAddressReserve). Reserved addresses come from a range
+  /// disjoint from malloc placements and are never reused.
+  Result<DevicePtr> reserve(u64 size);
+  /// Backs [ptr, ptr + size) of one span with a chunk of device memory
+  /// (cuMemMap). Fails with ErrorMemoryAllocation when no hole fits (or an
+  /// allocation-failure pulse is pending) and ErrorInvalidValue when the
+  /// range leaves its span or overlaps a mapped chunk. Fresh bytes read zero.
+  Status map(DevicePtr ptr, u64 size);
+  /// Releases the chunks that exactly cover [ptr, ptr + size) and poisons
+  /// their bytes (cuMemUnmap). ErrorInvalidValue when any byte of the range
+  /// is unmapped or a chunk straddles its ends.
+  Status unmap(DevicePtr ptr, u64 size);
 
   /// Transfer host->device. `dst` may point into the interior of an
   /// allocation. Blocks the caller for the modeled PCIe time.
@@ -90,7 +116,7 @@ class SimGpu {
   Status copy_from_peer(DevicePtr dst, SimGpu& peer, DevicePtr src, u64 size);
 
   /// Zero-cost accessors used by the test harness to verify device state
-  /// without perturbing modeled time.
+  /// without perturbing modeled time. Like copies, they need mapped bytes.
   Status peek(std::span<std::byte> dst, DevicePtr src, u64 size) const;
   Status poke(DevicePtr dst, std::span<const std::byte> src);
 
@@ -104,14 +130,15 @@ class SimGpu {
   // ---- Introspection ------------------------------------------------------
   u64 capacity_bytes() const { return spec_.memory_bytes; }
   u64 free_bytes() const;
+  /// Bytes charged by mapped chunks (malloc'd spans included).
   u64 used_bytes() const;
   u64 largest_free_block() const;
-  /// Number of live (allocated, not yet freed) blocks. Chaos invariant
-  /// checks compare this against the memory manager's resident entries.
+  /// Number of live spans (malloc'd or reserved, not yet freed). Chaos
+  /// invariant checks compare this against the CUDA contexts' slabs.
   u64 live_allocation_count() const;
   GpuStats stats() const;
 
-  /// True if `ptr` points within a live allocation.
+  /// True if `ptr` points within a live span (mapped or not).
   bool valid_pointer(DevicePtr ptr) const;
 
   // ---- Failure injection / lifecycle --------------------------------------
@@ -123,7 +150,7 @@ class SimGpu {
   /// ops 1..n succeed, op n+1 fires the failure. The countdown is claimed
   /// with a CAS so concurrent ops cannot double-fire or over-consume it.
   void fail_after_ops(u64 n);
-  /// Allocation-failure pulse: the next `n` mallocs return
+  /// Allocation-failure pulse: the next `n` mallocs or maps return
   /// ErrorMemoryAllocation without touching the allocator (transient
   /// memory pressure; the runtime's eviction/backoff path absorbs it).
   void fail_next_allocs(u64 n);
@@ -143,8 +170,15 @@ class SimGpu {
   }
 
  private:
-  struct Block {
-    std::vector<std::byte> data;
+  /// A mapped piece of a span: `size` bytes placed at `phys` by the
+  /// allocator.
+  struct Chunk {
+    u64 size = 0;
+    u64 phys = 0;
+  };
+  struct Span {
+    SpanMemory memory;             ///< the whole span, contiguous
+    std::map<u64, Chunk> chunks;   ///< span offset -> mapped chunk
   };
 
   /// A resource occupied in virtual time. Callers compute their completion
@@ -212,21 +246,28 @@ class SimGpu {
     vt::Duration busy_{};
   };
 
-  // Locates the block containing `addr`; returns nullptr when invalid.
+  // Locates the span containing `addr`; returns nullptr when invalid.
   // Caller must hold mem_mu_.
-  Block* locate_locked(DevicePtr addr, u64* offset);
-  const Block* locate_locked(DevicePtr addr, u64* offset) const;
+  Span* locate_locked(DevicePtr addr, u64* offset);
+  const Span* locate_locked(DevicePtr addr, u64* offset) const;
+  // The bytes [addr, addr + size) when they lie in one span and are all
+  // mapped; an empty span with the reason in `*status` otherwise. Caller
+  // must hold mem_mu_.
+  std::span<std::byte> mapped_bytes_locked(DevicePtr addr, u64 size, Status* status);
 
   Status check_healthy_and_count();
+  // Claims one pending allocation-failure pulse, if any.
+  bool claim_alloc_fault();
 
   GpuId id_;
   GpuSpec spec_;
   SimParams params_;
   vt::Domain* dom_;
 
-  mutable std::mutex mem_mu_;   // guards allocator_, blocks_, stats_
+  mutable std::mutex mem_mu_;   // guards allocator_, spans_, next_reserve_, stats_
   AddressSpaceAllocator allocator_;
-  std::map<DevicePtr, std::unique_ptr<Block>> blocks_;
+  std::map<DevicePtr, std::unique_ptr<Span>> spans_;
+  u64 next_reserve_;  ///< bump pointer of reserve()'s address range
   GpuStats stats_;
 
   Engine compute_;

@@ -5,13 +5,16 @@
 //               [--verify-determinism] [--trace-out FILE.json]
 //               [--offload] [--no-load-reports] [--migrations N]
 //               [--preempt N] [--sched-policy NAME] [--quantum-us N]
-//               [--paging]
+//               [--paging] [--buffer-elems N]
 //
 // Builds a multi-tenant cluster scenario, executes a FaultPlan against it
 // (seed-generated, or loaded from a plan file) and reports per-tenant
 // outcomes, fault log, recovery metrics and invariant violations.
 // --verify-determinism runs the scenario twice and fails unless both runs
 // are bit-identical (same event order, outcomes, makespan, counters).
+// --buffer-elems sets each tenant's base buffer size in u32 elements; with
+// --paging, 163840 (640 KiB) makes two tenants on one 1 MiB chaos GPU
+// oversubscribe it, so pages are evicted between tenants.
 // Exit code 0 iff no invariant was violated (and, with
 // --verify-determinism, the replay matched).
 #include <cstdio>
@@ -36,7 +39,7 @@ void usage() {
                "                   [--verify-determinism] [--trace-out FILE.json]\n"
                "                   [--offload] [--no-load-reports] [--migrations N]\n"
                "                   [--preempt N] [--sched-policy NAME] [--quantum-us N]\n"
-               "                   [--paging]\n");
+               "                   [--paging] [--buffer-elems N]\n");
 }
 
 }  // namespace
@@ -62,6 +65,7 @@ int main(int argc, char** argv) {
   double quantum_us = 0.0;
   double horizon_ms = 30.0;
   bool paging = false;
+  u64 buffer_elems = 0;  // 0 = the harness default
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -90,6 +94,7 @@ int main(int argc, char** argv) {
     else if (arg == "--quantum-us") quantum_us = std::atof(next());
     else if (arg == "--horizon-ms") horizon_ms = std::atof(next());
     else if (arg == "--paging") paging = true;
+    else if (arg == "--buffer-elems") buffer_elems = std::strtoull(next(), nullptr, 10);
     else {
       usage();
       return 2;
@@ -125,6 +130,7 @@ int main(int argc, char** argv) {
   }
   config.quantum_seconds = quantum_us * 1e-6;
   config.paging = paging;
+  if (buffer_elems > 0) config.buffer_elems = buffer_elems;
 
   if (!plan_file.empty()) {
     std::ifstream in(plan_file);
@@ -195,6 +201,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.preemptions),
               static_cast<unsigned long long>(result.transport_retries),
               static_cast<unsigned long long>(result.transport_dropped));
+  if (config.paging) {
+    std::printf("paging: %llu page evictions\n",
+                static_cast<unsigned long long>(result.page_evictions));
+  }
 
   // Latency distributions from the run's registry (run_scenario resets it
   // at entry, so these cover exactly this scenario).

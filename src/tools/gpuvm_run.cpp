@@ -213,17 +213,23 @@ int main(int argc, char** argv) {
                       obs::histogram_quantile(v.edges, v.buckets, 0.95),
                       obs::histogram_quantile(v.edges, v.buckets, 0.99));
         }
-        // Paging health (MemoryConfig::paging): fault/TLB/prefetch counters, the
-        // computed TLB hit-rate, and the per-launch fault-service quantiles.
+        // Paging health (MemoryConfig::paging): fault/TLB/prefetch counters
+        // (prefetch_unused_pages sorts beside prefetched_pages), the computed
+        // TLB hit-rate and prefetch waste, and the per-launch fault-service
+        // quantiles.
         // A daemon running the entry-granular engine publishes all-zero
         // gauges; suppress the section entirely then.
         {
           double tlb_hits = 0.0;
           double tlb_misses = 0.0;
+          double prefetched = 0.0;
+          double prefetch_unused = 0.0;
           bool paging_any = false;
           for (const auto& v : snap.value().values) {
             if (v.name == "stats.mm.tlb_hits") tlb_hits = v.gauge;
             if (v.name == "stats.mm.tlb_misses") tlb_misses = v.gauge;
+            if (v.name == "stats.mm.prefetched_pages") prefetched = v.gauge;
+            if (v.name == "stats.mm.prefetch_unused_pages") prefetch_unused = v.gauge;
             if ((v.name.rfind("stats.mm.page", 0) == 0 ||
                  v.name.rfind("stats.mm.tlb", 0) == 0 ||
                  v.name.rfind("stats.mm.prefetch", 0) == 0) &&
@@ -244,6 +250,10 @@ int main(int argc, char** argv) {
             if (tlb_hits + tlb_misses > 0.0) {
               std::printf("%-48s %.1f%%\n", "tlb hit-rate",
                           100.0 * tlb_hits / (tlb_hits + tlb_misses));
+            }
+            if (prefetched > 0.0) {
+              std::printf("%-48s %.1f%%\n", "prefetch waste (unused / prefetched)",
+                          100.0 * prefetch_unused / prefetched);
             }
             for (const auto& v : snap.value().values) {
               if (v.kind != obs::MetricKind::Histogram || v.count == 0) continue;

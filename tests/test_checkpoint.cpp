@@ -168,6 +168,33 @@ TEST_F(CheckpointTest, CorruptImagesRejected) {
   EXPECT_EQ(restore_context(*mm_, restored, truncated), Status::ErrorCheckpointNotFound);
 }
 
+TEST_F(CheckpointTest, CheckpointLosingItsDeviceLeavesEveryEntryAtThePreviousOne) {
+  // Two entries dirty on the device; the device dies after the first
+  // write-back. Both must read back at the previous checkpoint -- one entry
+  // at the new state would be a torn image for the replay that follows.
+  auto a = mm_->on_malloc(ctx_, 1024);
+  auto b = mm_->on_malloc(ctx_, 1024);
+  ASSERT_TRUE(a && b);
+  const std::vector<std::byte> before(1024, std::byte{0x11});
+  ASSERT_EQ(mm_->on_copy_h2d(ctx_, a.value(), before, std::nullopt), Status::Ok);
+  ASSERT_EQ(mm_->on_copy_h2d(ctx_, b.value(), before, std::nullopt), Status::Ok);
+  const GpuId gpu = machine_.all_gpus()[0];
+  auto prep = mm_->prepare_launch(ctx_, gpu, slot_,
+                                  {sim::KernelArg::dev(a.value()), sim::KernelArg::dev(b.value())});
+  ASSERT_EQ(prep.outcome, MemoryManager::PrepareOutcome::Ready);
+  const std::vector<std::byte> after(1024, std::byte{0x22});  // "the kernel ran"
+  ASSERT_EQ(machine_.gpu(gpu)->poke(prep.translated[0].as_ptr(), after), Status::Ok);
+  ASSERT_EQ(machine_.gpu(gpu)->poke(prep.translated[1].as_ptr(), after), Status::Ok);
+
+  machine_.gpu(gpu)->fail_after_ops(1);  // a's write-back lands, b's kills the device
+  EXPECT_EQ(mm_->checkpoint(ctx_), Status::ErrorDeviceUnavailable);
+  std::vector<std::byte> out(1024);
+  ASSERT_EQ(mm_->on_copy_d2h(ctx_, out, a.value(), out.size()), Status::Ok);
+  EXPECT_EQ(out, before);
+  ASSERT_EQ(mm_->on_copy_d2h(ctx_, out, b.value(), out.size()), Status::Ok);
+  EXPECT_EQ(out, before);
+}
+
 TEST_F(CheckpointTest, UnknownContextRejected) {
   EXPECT_FALSE(mm_->export_image(ContextId{99}).has_value());
   std::vector<u8> image;

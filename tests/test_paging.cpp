@@ -6,7 +6,8 @@
 //    scoring/prediction behaviour
 //  - the paged engine itself: hint-scoped uploads, demand faulting of cold
 //    pages, TLB hit/miss accounting, write-hint-scoped writeback, async
-//    prefetch, policy-driven victim selection
+//    prefetch, policy-driven page victim selection, prefetched pages that
+//    survive oversubscription until used, inter-app page eviction
 //  - differential proofs that the paged engine is byte-identical to the
 //    entry-granular baseline for the same operation sequence (with strictly
 //    less device traffic), through checkpoint/restore, and at the chaos
@@ -203,6 +204,36 @@ class PagedEngineTest : public ::testing::Test {
     return out;
   }
 
+  /// A read-only launch declaring pages [first, first + count) of `p`.
+  MM::PrepareResult touch(MM& mm, ContextId ctx, VirtualPtr p, u64 first, u64 count) {
+    return mm.prepare_launch(
+        ctx, gpu_a_, slot_a_,
+        {sim::KernelArg::dev(p), sim::KernelArg::access_hint(0, first * kPage, count * kPage)});
+  }
+
+  /// prepare_launch on GPU a, resolving WouldBlock the way the Runtime
+  /// does: the first other tenant that can make room is asked to -- by
+  /// pages in the paged engine, by a whole-context swap otherwise.
+  MM::PrepareResult prepare_evicting(MM& mm, ContextId ctx, const std::vector<ContextId>& tenants,
+                                     const std::vector<sim::KernelArg>& args, bool paged) {
+    for (;;) {
+      auto prep = mm.prepare_launch(ctx, gpu_a_, slot_a_, args);
+      if (prep.outcome != MM::PrepareOutcome::WouldBlock) return prep;
+      bool freed = false;
+      for (const ContextId victim : mm.victim_candidates(gpu_a_, prep.needed_bytes, ctx)) {
+        if (paged) {
+          freed = mm.evict_pages(victim, gpu_a_, prep.needed_bytes) > 0;
+        } else {
+          freed = mm.swap_context(victim) == Status::Ok;
+        }
+        if (freed) break;
+      }
+      EXPECT_TRUE(freed) << "no tenant could make room";
+      if (!freed) return prep;
+      (void)tenants;
+    }
+  }
+
   vt::Domain dom_;
   vt::AttachGuard guard_;
   sim::SimMachine machine_;
@@ -290,11 +321,12 @@ TEST_F(PagedEngineTest, WrittenHintsScopeWritebackToWrittenPages) {
   std::vector<std::byte> poke(kPage, std::byte{0x55});
   ASSERT_EQ(machine_.gpu(gpu_a_)->poke(prep.translated[0].as_ptr() + kPage, poke), Status::Ok);
 
-  // Eviction writes back only the declared write-set: one page.
+  // Eviction writes back only the declared write-set: one page. Only that
+  // page was ever mapped, so only it counts as evicted.
   const u64 before = down_a();
   ASSERT_EQ(mm.swap_context(ctx), Status::Ok);
   EXPECT_EQ(down_a() - before, kPage);
-  EXPECT_EQ(mm.stats().page_evictions, 4u);  // all pages of the entry freed
+  EXPECT_EQ(mm.stats().page_evictions, 1u);
 
   auto out = read_back(mm, ctx, p, kSize);
   for (u64 i = 0; i < kSize; ++i) {
@@ -326,98 +358,211 @@ TEST_F(PagedEngineTest, SequentialPrefetchShipsPredictedPagesAsynchronously) {
   EXPECT_EQ(read_back(mm, ctx, p, 8 * kPage), std::vector<std::byte>(8 * kPage, std::byte{0x66}));
 }
 
-TEST_F(PagedEngineTest, PageLruEvictsEntryWithColdestHottestPage) {
+TEST_F(PagedEngineTest, PageLruEvictsColdestPagesAcrossEntries) {
   MM mm(*rt_, paged_config());  // eviction_policy defaults to page-lru
   const ContextId ctx{1};
   mm.add_context(ctx);
-  constexpr u64 kSize = 240 * 1024;
+  constexpr u64 kPages = 60;
   dom_.sleep_for(vt::from_micros(1));  // page stamps at exactly 0 read as never-touched
   std::vector<VirtualPtr> entries;
   for (int i = 0; i < 4; ++i) {
-    entries.push_back(alloc_filled(mm, ctx, kSize, static_cast<std::byte>(0x10 + i)));
-    auto prep = mm.prepare_launch(
-        ctx, gpu_a_, slot_a_,
-        {sim::KernelArg::dev(entries.back()), sim::KernelArg::access_hint(0, 0, kPage)});
-    ASSERT_EQ(prep.outcome, MM::PrepareOutcome::Ready);
+    entries.push_back(alloc_filled(mm, ctx, kPages * kPage, static_cast<std::byte>(0x10 + i)));
+    ASSERT_EQ(touch(mm, ctx, entries.back(), 0, kPages).outcome, MM::PrepareOutcome::Ready);
     dom_.sleep_for(vt::from_micros(10));  // distinct page stamps
   }
+  // e0's first half is walked again: its second half is now the coldest
+  // memory on the device, colder than any page of e1.
+  ASSERT_EQ(touch(mm, ctx, entries[0], 0, kPages / 2).outcome, MM::PrepareOutcome::Ready);
+  dom_.sleep_for(vt::from_micros(10));
 
-  // A fifth entry forces one eviction; the policy must pick e0 (its only
-  // touched page is the coldest), matching the entry-LRU baseline.
-  const VirtualPtr big = alloc_filled(mm, ctx, kSize, std::byte{0x77});
+  // 4 x 60 pages plus the context slab leave 15 of the GPU's 256 pages
+  // free; a fifth 60-page entry needs 45 more. They are e0's 30 cold
+  // pages, then e1's lowest 15 (next-coldest stamp, lower pages first).
+  const VirtualPtr big = alloc_filled(mm, ctx, kPages * kPage, std::byte{0x77});
+  const u64 down = down_a();
   auto prep = mm.prepare_launch(ctx, gpu_a_, slot_a_, {sim::KernelArg::dev(big)});
   ASSERT_EQ(prep.outcome, MM::PrepareOutcome::Ready);
-  EXPECT_EQ(mm.stats().swapped_entries, 1u);
+  EXPECT_EQ(mm.stats().page_evictions, 45u);
+  EXPECT_EQ(mm.stats().swapped_entries, 0u);  // pages went, never whole entries
+  EXPECT_EQ(down_a(), down);                   // read-only pages: no write-back
 
-  u64 transfers = mm.stats().bulk_transfers;
-  for (int i = 1; i < 4; ++i) {
-    prep = mm.prepare_launch(
-        ctx, gpu_a_, slot_a_,
-        {sim::KernelArg::dev(entries[i]), sim::KernelArg::access_hint(0, 0, kPage)});
-    ASSERT_EQ(prep.outcome, MM::PrepareOutcome::Ready);
-    dom_.sleep_for(vt::from_micros(10));
-  }
-  EXPECT_EQ(mm.stats().bulk_transfers, transfers) << "e1..e3 must still be resident";
+  const u64 transfers = mm.stats().bulk_transfers;
+  ASSERT_EQ(touch(mm, ctx, entries[0], 0, kPages / 2).outcome, MM::PrepareOutcome::Ready);
+  ASSERT_EQ(touch(mm, ctx, entries[1], 15, kPages - 15).outcome, MM::PrepareOutcome::Ready);
+  ASSERT_EQ(touch(mm, ctx, entries[2], 0, kPages).outcome, MM::PrepareOutcome::Ready);
+  ASSERT_EQ(touch(mm, ctx, entries[3], 0, kPages).outcome, MM::PrepareOutcome::Ready);
+  EXPECT_EQ(mm.stats().bulk_transfers, transfers) << "only the coldest pages may go";
 
-  transfers = mm.stats().bulk_transfers;
-  prep = mm.prepare_launch(
-      ctx, gpu_a_, slot_a_,
-      {sim::KernelArg::dev(entries[0]), sim::KernelArg::access_hint(0, 0, kPage)});
-  ASSERT_EQ(prep.outcome, MM::PrepareOutcome::Ready);
-  EXPECT_GT(mm.stats().bulk_transfers, transfers) << "e0 must have been the victim";
+  ASSERT_EQ(touch(mm, ctx, entries[0], kPages - 1, 1).outcome, MM::PrepareOutcome::Ready);
+  EXPECT_EQ(mm.stats().bulk_transfers, transfers + 1) << "e0's cold half must have gone";
+  ASSERT_EQ(touch(mm, ctx, entries[1], 0, 1).outcome, MM::PrepareOutcome::Ready);
+  EXPECT_EQ(mm.stats().bulk_transfers, transfers + 2) << "e1's first pages must have gone";
 }
 
-TEST_F(PagedEngineTest, WorkingSetEvictsSmallestRecentFootprint) {
+TEST_F(PagedEngineTest, WorkingSetEvictsPagesOfSmallestRecentFootprint) {
   MemoryConfig cfg = paged_config();
   cfg.eviction_policy = "working-set";
   MM mm(*rt_, cfg);
   const ContextId ctx{1};
   mm.add_context(ctx);
-  constexpr u64 kSize = 240 * 1024;
+  constexpr u64 kPages = 60;
 
-  // e0 streams through all of its pages; e1..e3 touch one page each, later.
-  // Under working-set the victim is e1 (smallest window population, oldest
-  // stamp on the tie) even though e0's stamps are older. Start off t=0:
-  // a page stamped at exactly 0 is indistinguishable from never-touched.
+  // e0 walks all 60 of its pages first; e1..e3 walk 20 pages each, later.
+  // Under working-set the victims are e1's pages (smallest window
+  // population, oldest stamp on the tie) even though every page of e0 is
+  // older -- page-lru would take e0's. Start off t=0: a page stamped at
+  // exactly 0 is indistinguishable from never-touched.
   dom_.sleep_for(vt::from_micros(1));
   std::vector<VirtualPtr> entries;
-  entries.push_back(alloc_filled(mm, ctx, kSize, std::byte{0x10}));
-  auto prep = mm.prepare_launch(
-      ctx, gpu_a_, slot_a_,
-      {sim::KernelArg::dev(entries[0]), sim::KernelArg::access_hint(0, 0, kSize)});
-  ASSERT_EQ(prep.outcome, MM::PrepareOutcome::Ready);
+  entries.push_back(alloc_filled(mm, ctx, kPages * kPage, std::byte{0x10}));
+  ASSERT_EQ(touch(mm, ctx, entries[0], 0, kPages).outcome, MM::PrepareOutcome::Ready);
   dom_.sleep_for(vt::from_micros(10));
   for (int i = 1; i < 4; ++i) {
-    entries.push_back(alloc_filled(mm, ctx, kSize, static_cast<std::byte>(0x10 + i)));
-    prep = mm.prepare_launch(
-        ctx, gpu_a_, slot_a_,
-        {sim::KernelArg::dev(entries.back()), sim::KernelArg::access_hint(0, 0, kPage)});
-    ASSERT_EQ(prep.outcome, MM::PrepareOutcome::Ready);
+    entries.push_back(alloc_filled(mm, ctx, kPages * kPage, static_cast<std::byte>(0x10 + i)));
+    ASSERT_EQ(touch(mm, ctx, entries.back(), 0, 20).outcome, MM::PrepareOutcome::Ready);
     dom_.sleep_for(vt::from_micros(10));
   }
 
-  const VirtualPtr big = alloc_filled(mm, ctx, kSize, std::byte{0x77});
-  prep = mm.prepare_launch(ctx, gpu_a_, slot_a_, {sim::KernelArg::dev(big)});
+  // 120 pages plus the slab are mapped; a 150-page entry needs 15 more.
+  const VirtualPtr big = alloc_filled(mm, ctx, 150 * kPage, std::byte{0x77});
+  auto prep = mm.prepare_launch(ctx, gpu_a_, slot_a_, {sim::KernelArg::dev(big)});
   ASSERT_EQ(prep.outcome, MM::PrepareOutcome::Ready);
-  EXPECT_EQ(mm.stats().swapped_entries, 1u);
+  EXPECT_EQ(mm.stats().page_evictions, 15u);
 
-  u64 transfers = mm.stats().bulk_transfers;
-  for (const int i : {0, 2, 3}) {
-    prep = mm.prepare_launch(
-        ctx, gpu_a_, slot_a_,
-        {sim::KernelArg::dev(entries[static_cast<size_t>(i)]),
-         sim::KernelArg::access_hint(0, 0, kPage)});
-    ASSERT_EQ(prep.outcome, MM::PrepareOutcome::Ready);
-    dom_.sleep_for(vt::from_micros(10));
-  }
+  const u64 transfers = mm.stats().bulk_transfers;
+  ASSERT_EQ(touch(mm, ctx, entries[0], 0, kPages).outcome, MM::PrepareOutcome::Ready);
+  ASSERT_EQ(touch(mm, ctx, entries[2], 0, 20).outcome, MM::PrepareOutcome::Ready);
+  ASSERT_EQ(touch(mm, ctx, entries[3], 0, 20).outcome, MM::PrepareOutcome::Ready);
   EXPECT_EQ(mm.stats().bulk_transfers, transfers) << "e0, e2, e3 must still be resident";
 
-  transfers = mm.stats().bulk_transfers;
-  prep = mm.prepare_launch(
+  ASSERT_EQ(touch(mm, ctx, entries[1], 0, 1).outcome, MM::PrepareOutcome::Ready);
+  EXPECT_GT(mm.stats().bulk_transfers, transfers) << "e1's pages must have been the victims";
+}
+
+TEST_F(PagedEngineTest, PrefetchedPagesStayMappedUntilUsedUnderOversubscription) {
+  MemoryConfig cfg = paged_config();
+  cfg.prefetch_policy = "stride";
+  cfg.page_bytes = 32 * 1024;  // the GPU holds 31 such pages beside the slab
+  const u64 page = cfg.page_bytes;
+  MM mm(*rt_, cfg);
+  // Four tenants, each striding one page per visit through three 16-page
+  // buffers and writing one output page. Each wants its three current
+  // pages, two predictions per buffer and its output page -- ten pages,
+  // against about eight per tenant on the GPU -- so pages are evicted all
+  // along, and the stride predictions for the next visits are the newest
+  // stamps only for a while.
+  constexpr u64 kPages = 16;
+  constexpr u64 kVisits = 14;
+  std::vector<ContextId> tenants;
+  std::vector<std::vector<VirtualPtr>> bufs;
+  std::vector<VirtualPtr> outs;
+  for (u64 t = 0; t < 4; ++t) {
+    tenants.push_back(ContextId{t + 1});
+    mm.add_context(tenants.back());
+    bufs.emplace_back();
+    for (u64 b = 0; b < 3; ++b) {
+      bufs.back().push_back(
+          alloc_filled(mm, tenants.back(), kPages * page, static_cast<std::byte>(t * 3 + b)));
+    }
+    outs.push_back(alloc_filled(mm, tenants.back(), page, std::byte{0}));
+  }
+  dom_.sleep_for(vt::from_micros(1));
+  for (u64 step = 0; step < 3 * kVisits; ++step) {
+    for (u64 t = 0; t < tenants.size(); ++t) {
+      const u64 b = step % 3;
+      const u64 slice = step / 3;  // stride 1 per visit, no wrap
+      auto prep = prepare_evicting(
+          mm, tenants[t], tenants,
+          {sim::KernelArg::dev(bufs[t][b]), sim::KernelArg::dev_out(outs[t]),
+           sim::KernelArg::access_hint(0, slice * page, page),
+           sim::KernelArg::access_hint(1, 0, page, /*written=*/true)},
+          /*paged=*/true);
+      ASSERT_EQ(prep.outcome, MM::PrepareOutcome::Ready) << "tenant " << t << " step " << step;
+      dom_.sleep_for(vt::from_micros(50));
+    }
+  }
+  const MemStats st = mm.stats();
+  EXPECT_GT(st.page_evictions, 0u) << "the mix must oversubscribe the GPU";
+  EXPECT_GT(st.prefetched_pages, 0u);
+  // No prediction was evicted before its launch walked it; apart from each
+  // buffer's first two visits (before the stride is known) and the output
+  // page every page was already there when its launch came.
+  EXPECT_EQ(st.prefetch_unused_pages, 0u);
+  EXPECT_EQ(st.page_faults, tenants.size() * (3 * 2 + 1));
+  EXPECT_EQ(st.residency_violations, 0u);
+  for (u64 t = 0; t < tenants.size(); ++t) {
+    for (u64 b = 0; b < 3; ++b) {
+      EXPECT_EQ(read_back(mm, tenants[t], bufs[t][b], kPages * page),
+                std::vector<std::byte>(kPages * page, static_cast<std::byte>(t * 3 + b)));
+    }
+  }
+}
+
+TEST_F(PagedEngineTest, TransfersNeverCrossAnUnmappedPage) {
+  MM mm(*rt_, paged_config());
+  const ContextId ctx{1};
+  mm.add_context(ctx);
+  const VirtualPtr p = alloc_filled(mm, ctx, 4 * kPage, std::byte{0x61});
+  // Pages 0 and 2 are mapped, page 1 is not: the one-page gap between them
+  // is within the transfer coalescing distance, yet neither the upload nor
+  // the write-back may bridge it.
+  auto prep = mm.prepare_launch(
       ctx, gpu_a_, slot_a_,
-      {sim::KernelArg::dev(entries[1]), sim::KernelArg::access_hint(0, 0, kPage)});
+      {sim::KernelArg::dev(p), sim::KernelArg::access_hint(0, 0, kPage, /*written=*/true),
+       sim::KernelArg::access_hint(0, 2 * kPage, kPage, /*written=*/true)});
   ASSERT_EQ(prep.outcome, MM::PrepareOutcome::Ready);
-  EXPECT_GT(mm.stats().bulk_transfers, transfers) << "e1 must have been the victim";
+  EXPECT_EQ(up_a(), 2 * kPage);
+  std::vector<std::byte> poke(kPage, std::byte{0x62});
+  ASSERT_EQ(machine_.gpu(gpu_a_)->poke(prep.translated[0].as_ptr(), poke), Status::Ok);
+  ASSERT_EQ(machine_.gpu(gpu_a_)->poke(prep.translated[0].as_ptr() + 2 * kPage, poke), Status::Ok);
+  ASSERT_EQ(mm.swap_context(ctx), Status::Ok);
+  EXPECT_EQ(down_a(), 2 * kPage);
+  auto out = read_back(mm, ctx, p, 4 * kPage);
+  for (u64 i = 0; i < 4 * kPage; ++i) {
+    const bool written = i < kPage || (i >= 2 * kPage && i < 3 * kPage);
+    ASSERT_EQ(out[i], written ? std::byte{0x62} : std::byte{0x61}) << "byte " << i;
+  }
+}
+
+TEST_F(PagedEngineTest, InterAppPageEvictionKeepsVictimsDirtyOutputPage) {
+  MM mm(*rt_, paged_config());
+  const ContextId victim{1};
+  const ContextId requester{2};
+  mm.add_context(victim);
+  mm.add_context(requester);
+  dom_.sleep_for(vt::from_micros(1));
+
+  // The victim reads a 60-page input, then writes its output page.
+  const VirtualPtr in = alloc_filled(mm, victim, 60 * kPage, std::byte{0x21});
+  const VirtualPtr out = alloc_filled(mm, victim, kPage, std::byte{0x00});
+  ASSERT_EQ(touch(mm, victim, in, 0, 60).outcome, MM::PrepareOutcome::Ready);
+  dom_.sleep_for(vt::from_micros(10));
+  auto prep = mm.prepare_launch(
+      victim, gpu_a_, slot_a_,
+      {sim::KernelArg::dev_out(out), sim::KernelArg::access_hint(0, 0, kPage, /*written=*/true)});
+  ASSERT_EQ(prep.outcome, MM::PrepareOutcome::Ready);
+  const std::vector<std::byte> result(kPage, std::byte{0x5C});
+  ASSERT_EQ(machine_.gpu(gpu_a_)->poke(prep.translated[0].as_ptr(), result), Status::Ok);
+  dom_.sleep_for(vt::from_micros(10));
+
+  // The requester's launch needs 202 pages; 194 are free (256 minus the
+  // victim's 61 and the slab), so it needs 8 of the victim's.
+  const VirtualPtr big = alloc_filled(mm, requester, 194 * kPage, std::byte{0x31});
+  const VirtualPtr more = alloc_filled(mm, requester, 8 * kPage, std::byte{0x32});
+  const u64 down = down_a();
+  prep = prepare_evicting(mm, requester, {victim, requester},
+                          {sim::KernelArg::dev(big), sim::KernelArg::dev(more)}, /*paged=*/true);
+  ASSERT_EQ(prep.outcome, MM::PrepareOutcome::Ready);
+  EXPECT_EQ(mm.stats().page_evictions, 8u);  // exactly the room asked for
+  EXPECT_EQ(mm.stats().swapped_entries, 0u);
+  EXPECT_EQ(down_a(), down) << "clean input pages must leave without a write-back";
+  EXPECT_EQ(mm.resident_bytes(victim, gpu_a_), 53 * kPage);
+
+  // The hot dirty output page stayed mapped: reading it back ships exactly
+  // that page, with the kernel's bytes.
+  EXPECT_EQ(read_back(mm, victim, out, kPage), result);
+  EXPECT_EQ(down_a() - down, kPage);
+  EXPECT_EQ(read_back(mm, victim, in, 60 * kPage), std::vector<std::byte>(60 * kPage, std::byte{0x21}));
 }
 
 // ---- Differential: paged vs entry-granular ----------------------------------
@@ -469,6 +614,72 @@ TEST_F(PagedEngineTest, PagedEngineMatchesEntryEngineByteForByteWithLessTraffic)
   EXPECT_EQ(entry_result.second, paged_result.second);
   EXPECT_LT(paged_traffic, entry_traffic);
   EXPECT_GT(paged_mm.stats().page_faults, 0u);
+  entry_mm.remove_context(e_ctx);
+  paged_mm.remove_context(p_ctx);
+
+  // An oversubscribed multi-tenant mix: three tenants, each with a 96-page
+  // input and an 8-page output, take turns launching over a sliding
+  // 40-page input window while writing one output page, with partial host
+  // writes in between. 3 x 104 pages exceed the GPU, so the
+  // entry engine swaps whole contexts and the paged engine evicts pages --
+  // within a tenant and across tenants -- and the bytes must still agree.
+  const auto mix = [&](MM& mm, u64 first_ctx, bool paged) {
+    constexpr u64 kIn = 96;
+    constexpr u64 kOut = 8;
+    std::vector<ContextId> tenants;
+    std::vector<std::pair<VirtualPtr, VirtualPtr>> bufs;
+    for (u64 t = 0; t < 3; ++t) {
+      tenants.push_back(ContextId{first_ctx + t});
+      mm.add_context(tenants.back());
+      bufs.emplace_back(alloc_filled(mm, tenants.back(), kIn * kPage, static_cast<std::byte>(t)),
+                        alloc_filled(mm, tenants.back(), kOut * kPage, std::byte{0}));
+    }
+    for (u64 step = 0; step < 12; ++step) {
+      for (u64 t = 0; t < tenants.size(); ++t) {
+        const auto [in, out] = bufs[t];
+        const u64 window = (step * 13 + t * 7) % (kIn - 39);
+        const u64 out_page = step % kOut;
+        auto prep = prepare_evicting(
+            mm, tenants[t], tenants,
+            {sim::KernelArg::dev(in), sim::KernelArg::dev_out(out),
+             sim::KernelArg::access_hint(0, window * kPage, 40 * kPage),
+             sim::KernelArg::access_hint(1, out_page * kPage, kPage, /*written=*/true)},
+            paged);
+        EXPECT_EQ(prep.outcome, MM::PrepareOutcome::Ready);
+        if (prep.outcome != MM::PrepareOutcome::Ready) return std::vector<std::vector<std::byte>>{};
+        // "Run the kernel": write the declared output page on the device.
+        std::vector<std::byte> page(kPage, static_cast<std::byte>(0x40 + t * 16 + step));
+        EXPECT_EQ(machine_.gpu(gpu_a_)->poke(prep.translated[1].as_ptr() + out_page * kPage, page),
+                  Status::Ok);
+        if (step % 3 == 2) {
+          std::vector<std::byte> patch(512, static_cast<std::byte>(0x90 + step));
+          EXPECT_EQ(mm.on_copy_h2d(tenants[t], in + ((step * 5 + t) % kIn) * kPage + 100, patch,
+                                   std::nullopt),
+                    Status::Ok);
+        }
+        dom_.sleep_for(vt::from_micros(10));
+      }
+    }
+    std::vector<std::vector<std::byte>> bytes;
+    for (u64 t = 0; t < tenants.size(); ++t) {
+      bytes.push_back(read_back(mm, tenants[t], bufs[t].first, kIn * kPage));
+      bytes.push_back(read_back(mm, tenants[t], bufs[t].second, kOut * kPage));
+      mm.remove_context(tenants[t]);
+    }
+    return bytes;
+  };
+  const u64 m0 = up_a() + down_a();
+  const auto entry_mix = mix(entry_mm, 10, /*paged=*/false);
+  const u64 entry_mix_traffic = up_a() + down_a() - m0;
+  const u64 evictions = paged_mm.stats().page_evictions;
+  const auto paged_mix = mix(paged_mm, 20, /*paged=*/true);
+  const u64 paged_mix_traffic = up_a() + down_a() - m0 - entry_mix_traffic;
+  ASSERT_EQ(entry_mix.size(), 6u);
+  EXPECT_EQ(entry_mix, paged_mix);
+  EXPECT_GT(entry_mm.stats().inter_app_swaps + entry_mm.stats().swapped_entries, 0u);
+  EXPECT_GT(paged_mm.stats().page_evictions, evictions) << "the mix must oversubscribe";
+  EXPECT_LT(paged_mix_traffic, entry_mix_traffic);
+  EXPECT_EQ(paged_mm.stats().residency_violations, 0u);
 }
 
 TEST_F(PagedEngineTest, CheckpointRestoreRoundTripsPagedContext) {
@@ -538,6 +749,26 @@ TEST(PagingScenario, ChaosReplayIsBitIdentical) {
   const chaos::ScenarioResult second = chaos::run_scenario(config);
   EXPECT_TRUE(first.deterministic_equal(second)) << first.diff(second);
   EXPECT_TRUE(first.violations.empty());
+}
+
+TEST(PagingScenario, OversubscribedTenantsEvictPagesUnderFaults) {
+  // The CI soak's oversubscribed shape: 640 KiB buffers, so two tenants
+  // bound to one 1 MiB chaos GPU evict each other's pages, under a random
+  // fault plan.
+  chaos::ScenarioConfig config;
+  config.tenants = 8;
+  config.paging = true;
+  config.buffer_elems = 163840;
+  config.plan = chaos::FaultPlan::random(/*seed=*/4, config.nodes, config.gpus_per_node,
+                                         /*event_count=*/10, vt::from_millis(30));
+  const chaos::ScenarioResult first = chaos::run_scenario(config);
+  const chaos::ScenarioResult second = chaos::run_scenario(config);
+  EXPECT_TRUE(first.deterministic_equal(second)) << first.diff(second);
+  EXPECT_TRUE(first.violations.empty());
+  EXPECT_GT(first.page_evictions, 0u);
+  for (const auto& t : first.outcomes) {
+    if (t.final_status == Status::Ok) EXPECT_TRUE(t.data_ok) << "tenant " << t.tenant;
+  }
 }
 
 TEST(PagingScenario, LiveMigrationPreservesDataUnderPaging) {

@@ -219,6 +219,38 @@ TEST_F(RuntimeTest3Gpus, GpuFailureRecoversOntoSurvivors) {
   EXPECT_GE(runtime_->stats().auto_checkpoints, 1u);
 }
 
+TEST_F(RuntimeTest3Gpus, CheckpointLostWithItsDeviceReplaysTheKernel) {
+  RuntimeConfig config;
+  config.auto_checkpoint_after_kernel_seconds = 1e-7;  // checkpoint after every kernel
+  start(config);
+
+  FrontendApi api(runtime_->connect());
+  ASSERT_EQ(api.register_kernels({"addone"}), Status::Ok);
+  auto ptr = api.malloc(64 * sizeof(float));
+  ASSERT_TRUE(ptr.has_value());
+  std::vector<float> host(64, 1.0f);
+  ASSERT_EQ(api.copy_in(ptr.value(), host), Status::Ok);
+  const auto launch_once = [&] {
+    return api.launch("addone", {{1, 1, 1}, {64, 1, 1}},
+                      {sim::KernelArg::dev(ptr.value()), sim::KernelArg::i64v(64)});
+  };
+  ASSERT_EQ(launch_once(), Status::Ok);
+
+  // The next kernel runs (one more device op), then the device dies on the
+  // automatic checkpoint's write-back: the kernel's output never reached
+  // swap, so the launch must be replayed elsewhere before it reports Ok.
+  std::optional<GpuId> resident = runtime_->memory().residency(ContextId{1});
+  ASSERT_TRUE(resident.has_value());
+  machine_.gpu(*resident)->fail_after_ops(1);
+  ASSERT_EQ(launch_once(), Status::Ok);
+  EXPECT_FALSE(machine_.gpu(*resident)->healthy());
+  ASSERT_EQ(launch_once(), Status::Ok);
+  std::vector<float> out(64);
+  ASSERT_EQ(api.copy_out(out, ptr.value()), Status::Ok);
+  for (float v : out) EXPECT_EQ(v, 4.0f);
+  EXPECT_GE(runtime_->stats().recoveries, 1u);
+}
+
 TEST_F(RuntimeTest, AllGpusGoneFailsGracefully) {
   start();
   FrontendApi api(runtime_->connect());

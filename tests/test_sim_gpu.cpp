@@ -279,6 +279,139 @@ TEST_F(SimGpuTest, DeviceToDeviceCopy) {
   EXPECT_EQ(src, dst);
 }
 
+// ---- Reserve / map / unmap ---------------------------------------------------
+
+constexpr u64 kChunk = 64 * 1024;
+
+/// A kernel that records the first byte its pointer argument addresses.
+KernelDef probe_kernel(std::byte* seen) {
+  KernelDef def;
+  def.name = "probe";
+  def.body = [seen](KernelExecContext& ctx) {
+    *seen = ctx.bytes(0)[0];
+    return Status::Ok;
+  };
+  def.cost = per_thread_cost(1.0, 1.0);
+  return def;
+}
+
+TEST_F(SimGpuTest, MallocPlacesSpansFirstFit) {
+  // malloc is a span mapped whole at its chunk's first-fit placement, so a
+  // fixed alloc/free sequence lands at the first-fit offsets from GPU 1's
+  // address base, reusing freed holes.
+  const DevicePtr base{1ull << 40};
+  auto a = gpu_.malloc(1000);
+  auto b = gpu_.malloc(5000);
+  auto c = gpu_.malloc(300);
+  ASSERT_TRUE(a && b && c);
+  ASSERT_EQ(gpu_.free(b.value()), Status::Ok);
+  auto d = gpu_.malloc(256);
+  auto e = gpu_.malloc(4096);
+  ASSERT_EQ(gpu_.free(a.value()), Status::Ok);
+  auto f = gpu_.malloc(2000);
+  auto g = gpu_.malloc(700000);
+  ASSERT_TRUE(d && e && f && g);
+  EXPECT_EQ(a.value(), base + 0);
+  EXPECT_EQ(b.value(), base + 1024);
+  EXPECT_EQ(c.value(), base + 6144);
+  EXPECT_EQ(d.value(), base + 1024);
+  EXPECT_EQ(e.value(), base + 1280);
+  EXPECT_EQ(f.value(), base + 6656);
+  EXPECT_EQ(g.value(), base + 8704);
+  // 400 000 bytes exceed the largest hole although less is in use in total.
+  EXPECT_EQ(gpu_.malloc(400000).status(), Status::ErrorMemoryAllocation);
+  EXPECT_EQ(gpu_.used_bytes(), 512u + 256 + 4096 + 2048 + 700160);
+}
+
+TEST_F(SimGpuTest, ReserveChargesNothingAndMapChargesEachChunk) {
+  auto span = gpu_.reserve(4 * kChunk);
+  ASSERT_TRUE(span.has_value());
+  EXPECT_EQ(gpu_.used_bytes(), 0u);
+  EXPECT_EQ(gpu_.live_allocation_count(), 1u);
+  EXPECT_TRUE(gpu_.valid_pointer(span.value() + 3 * kChunk));
+
+  ASSERT_EQ(gpu_.map(span.value(), kChunk), Status::Ok);
+  EXPECT_EQ(gpu_.used_bytes(), kChunk);
+  ASSERT_EQ(gpu_.map(span.value() + 2 * kChunk, kChunk), Status::Ok);
+  EXPECT_EQ(gpu_.used_bytes(), 2 * kChunk);
+
+  // Copies need mapped bytes: into a chunk works, into the hole between
+  // the chunks or across its edge does not.
+  std::vector<std::byte> buf(1024, std::byte{0x33});
+  EXPECT_EQ(gpu_.copy_to_device(span.value() + 2 * kChunk, buf), Status::Ok);
+  EXPECT_EQ(gpu_.copy_to_device(span.value() + kChunk, buf), Status::ErrorInvalidDevicePointer);
+  EXPECT_EQ(gpu_.copy_to_device(span.value() + kChunk - 512, buf),
+            Status::ErrorInvalidDevicePointer);
+
+  ASSERT_EQ(gpu_.free(span.value()), Status::Ok);  // unmaps both chunks
+  EXPECT_EQ(gpu_.used_bytes(), 0u);
+  EXPECT_EQ(gpu_.live_allocation_count(), 0u);
+}
+
+TEST_F(SimGpuTest, MapRunsOutOfMemoryWhileReservedAddressSpaceRemains) {
+  // Address space is not capacity: a span four times the device reserves
+  // fine, and mapping fails once the 1 MiB device is full.
+  auto span = gpu_.reserve(64 * kChunk);
+  ASSERT_TRUE(span.has_value());
+  for (u64 i = 0; i < 16; ++i) {
+    ASSERT_EQ(gpu_.map(span.value() + i * kChunk, kChunk), Status::Ok) << "chunk " << i;
+  }
+  EXPECT_EQ(gpu_.map(span.value() + 16 * kChunk, kChunk), Status::ErrorMemoryAllocation);
+  EXPECT_EQ(gpu_.malloc(1).status(), Status::ErrorMemoryAllocation);
+  ASSERT_EQ(gpu_.unmap(span.value() + 3 * kChunk, kChunk), Status::Ok);
+  EXPECT_EQ(gpu_.map(span.value() + 16 * kChunk, kChunk), Status::Ok);
+}
+
+TEST_F(SimGpuTest, UnmappedBytesArePoisonAndRemappedBytesZero) {
+  auto span = gpu_.reserve(2 * kChunk);
+  ASSERT_TRUE(span.has_value());
+  std::byte seen{0};
+  const KernelDef probe = probe_kernel(&seen);
+  const LaunchConfig one{{1, 1, 1}, {1, 1, 1}};
+  // Never mapped: a kernel reading there sees poison, not plausible data.
+  ASSERT_EQ(gpu_.launch(probe, one, {KernelArg::dev(span.value() + kChunk)}), Status::Ok);
+  EXPECT_EQ(seen, std::byte{0xDE});
+
+  ASSERT_EQ(gpu_.map(span.value(), 2 * kChunk), Status::Ok);
+  std::vector<std::byte> data(2 * kChunk, std::byte{0x11});
+  ASSERT_EQ(gpu_.poke(span.value(), data), Status::Ok);
+  ASSERT_EQ(gpu_.unmap(span.value(), 2 * kChunk), Status::Ok);
+  ASSERT_EQ(gpu_.launch(probe, one, {KernelArg::dev(span.value() + kChunk)}), Status::Ok);
+  EXPECT_EQ(seen, std::byte{0xDE});
+  std::vector<std::byte> back(16);
+  EXPECT_EQ(gpu_.peek(back, span.value(), 16), Status::ErrorInvalidDevicePointer);
+
+  ASSERT_EQ(gpu_.map(span.value() + kChunk, kChunk), Status::Ok);
+  ASSERT_EQ(gpu_.peek(back, span.value() + kChunk, 16), Status::Ok);
+  EXPECT_EQ(back, std::vector<std::byte>(16, std::byte{0}));
+}
+
+TEST_F(SimGpuTest, DoubleMapAndStrayUnmapRejected) {
+  auto span = gpu_.reserve(4 * kChunk);
+  ASSERT_TRUE(span.has_value());
+  ASSERT_EQ(gpu_.map(span.value(), kChunk), Status::Ok);
+  EXPECT_EQ(gpu_.map(span.value(), kChunk), Status::ErrorInvalidValue);
+  EXPECT_EQ(gpu_.map(span.value() + kChunk / 2, kChunk), Status::ErrorInvalidValue);
+  EXPECT_EQ(gpu_.map(span.value() + 3 * kChunk, 2 * kChunk), Status::ErrorInvalidValue);
+  EXPECT_EQ(gpu_.map(DevicePtr{123456}, kChunk), Status::ErrorInvalidDevicePointer);
+  EXPECT_EQ(gpu_.unmap(span.value() + kChunk, kChunk), Status::ErrorInvalidValue);
+  EXPECT_EQ(gpu_.unmap(span.value(), kChunk / 2), Status::ErrorInvalidValue);
+  EXPECT_EQ(gpu_.unmap(span.value(), 2 * kChunk), Status::ErrorInvalidValue);
+  EXPECT_EQ(gpu_.used_bytes(), kChunk);  // nothing rejected touched capacity
+  EXPECT_EQ(gpu_.unmap(span.value(), kChunk), Status::Ok);
+  EXPECT_EQ(gpu_.unmap(span.value(), kChunk), Status::ErrorInvalidValue);
+  EXPECT_EQ(gpu_.used_bytes(), 0u);
+}
+
+TEST_F(SimGpuTest, AllocFaultPulseFailsMapsToo) {
+  auto span = gpu_.reserve(kChunk);
+  ASSERT_TRUE(span.has_value());
+  gpu_.fail_next_allocs(1);
+  EXPECT_EQ(gpu_.map(span.value(), kChunk), Status::ErrorMemoryAllocation);
+  EXPECT_EQ(gpu_.map(span.value(), kChunk), Status::Ok);
+  EXPECT_EQ(gpu_.stats().alloc_faults, 1u);
+}
+
 // ---- SimMachine ------------------------------------------------------------
 
 TEST(SimMachine, AddRemoveFailLifecycle) {
