@@ -42,7 +42,7 @@ enum class FaultKind : u8 {
   NodeRejoin,         ///< hot-add `count` replacement GPUs to a node
   TransportDegrade,   ///< message drops (`drop_rate`) + extra delivery delay
   TransportHeal,      ///< end the transport degrade window
-  AllocPulse,         ///< next `count` device mallocs fail (memory pressure)
+  AllocPulse,         ///< next `count` device maps/mallocs fail (memory pressure)
   Migrate,            ///< live-migrate one job off node `node`. `count` picks
                       ///< the target: 0 = least-loaded peer, n = node n-1.
                       ///< Runs concurrently with later events (mid-migration

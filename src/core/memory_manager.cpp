@@ -236,15 +236,16 @@ Status MemoryManager::on_copy_h2d(ContextId ctx, VirtualPtr dst, std::span<const
                      pte->mapped.contains(offset, offset + src.size());
   if (eager) {
     // Eager configuration: ship straight to the device (costed), keep the
-    // swap copy in sync so later swaps are cheap reads.
+    // swap copy in sync so later swaps are cheap reads. Only the written
+    // range is in sync again: a kernel's output around it stays dirty.
     const Status s = rt_->memcpy_h2d(*bound_client, pte->device_ptr + offset, src);
     if (!ok(s)) return s;
     std::memcpy(pte->swap.data() + offset, src.data(), src.size());
-    pte->to_copy_2_dev = false;
-    pte->to_copy_2_swap = false;
     pte->swap_valid.add(offset, offset + src.size());
-    pte->host_dirty.clear();  // device and swap are in sync again
-    pte->dev_dirty.clear();
+    pte->host_dirty.erase(offset, offset + src.size());
+    pte->dev_dirty.erase(offset, offset + src.size());
+    pte->to_copy_2_dev = !pte->host_dirty.empty();
+    pte->to_copy_2_swap = !pte->dev_dirty.empty();
     epoch_mark(*mem, *pte, offset, offset + src.size());
     return Status::Ok;
   }
@@ -297,10 +298,7 @@ Status MemoryManager::sync_to_swap(PageTableEntry& pte) {
   pte.to_copy_2_swap = false;
   pte.dev_dirty.clear();
   stats_.swap_out_bytes.fetch_add(moved, std::memory_order_relaxed);
-  if (config_.incremental_swap) {
-    stats_.dirty_bytes_saved.fetch_add(pte.size - moved, std::memory_order_relaxed);
-    dirty_bytes_saved_counter().add(static_cast<u64>(pte.size - moved));
-  }
+  count_saved(pte.size - moved);
   return Status::Ok;
 }
 
@@ -350,8 +348,13 @@ bool MemoryManager::tlb_access(CtxMem& mem, const PageTableEntry& pte, u64 page)
   return false;
 }
 
+u64 MemoryManager::page_bytes_of(const PageTableEntry& pte) const {
+  return config_.paging ? config_.page_bytes : pte.size;
+}
+
 u64 MemoryManager::page_count_of(const PageTableEntry& pte) const {
-  return (pte.size + config_.page_bytes - 1) / config_.page_bytes;
+  const u64 page = page_bytes_of(pte);
+  return (pte.size + page - 1) / page;
 }
 
 void MemoryManager::stamp_pages(PageTableEntry& pte, const std::vector<u64>& pages,
@@ -365,8 +368,9 @@ void MemoryManager::stamp_pages(PageTableEntry& pte, const std::vector<u64>& pag
 }
 
 ByteRange MemoryManager::page_range(const PageTableEntry& pte, u64 page) const {
-  const u64 begin = page * config_.page_bytes;
-  return ByteRange{begin, std::min(begin + config_.page_bytes, pte.size)};
+  const u64 bytes = page_bytes_of(pte);
+  const u64 begin = page * bytes;
+  return ByteRange{begin, std::min(begin + bytes, pte.size)};
 }
 
 void MemoryManager::tlb_flush_page(CtxMem& mem, const PageTableEntry& pte, u64 page) {
@@ -399,7 +403,7 @@ void MemoryManager::note_unmapped(CtxMem& mem, u64 bytes) const {
 void MemoryManager::retire_prefetched(PageTableEntry& pte, u64 begin, u64 end) {
   if (!pte.prefetched_untouched.overlaps(begin, end)) return;
   const u64 unused = pte.prefetched_untouched.intersected(IntervalSet::of(begin, end))
-                         .pages(config_.page_bytes, pte.size)
+                         .pages(page_bytes_of(pte), pte.size)
                          .size();
   stats_.prefetch_unused_pages.fetch_add(unused, std::memory_order_relaxed);
   pte.prefetched_untouched.erase(begin, end);
@@ -421,10 +425,11 @@ MemoryManager::PageVictim MemoryManager::coldest_page(
   for (const auto& [key, candidate] : mem.lru) {
     if (GpuId{candidate->resident_gpu} != gpu || candidate->mapped.empty()) continue;
     const auto kept = keep.find(candidate);
-    const EvictionCandidate c{candidate->virtual_ptr, candidate->size, config_.page_bytes,
+    const u64 page_bytes = page_bytes_of(*candidate);
+    const EvictionCandidate c{candidate->virtual_ptr, candidate->size, page_bytes,
                               candidate->last_use.count(),
                               std::span<const i64>(candidate->page_use_ns)};
-    for (const u64 p : candidate->mapped.pages(config_.page_bytes, candidate->size)) {
+    for (const u64 p : candidate->mapped.pages(page_bytes, candidate->size)) {
       const ByteRange r = page_range(*candidate, p);
       if (kept != keep.end() && kept->second.overlaps(r.begin, r.end)) continue;
       const bool prefetched = candidate->prefetched_untouched.overlaps(r.begin, r.end);
@@ -444,8 +449,9 @@ Status MemoryManager::evict_page(CtxMem& mem, PageTableEntry& pte, u64 page) {
   const ByteRange r = page_range(pte, page);
   // Write back the page's device-dirty bytes (overlapping the caller's
   // work, like swap_entry, when async); a clean page just unmaps.
+  const bool dirty = pte.dev_dirty.overlaps(r.begin, r.end);
   u64 moved = 0;
-  if (pte.dev_dirty.overlaps(r.begin, r.end)) {
+  if (dirty) {
     const IntervalSet page_set = IntervalSet::of(r.begin, r.end);
     const IntervalSet ship =
         config_.incremental_swap ? pte.dev_dirty.intersected(page_set) : page_set;
@@ -485,6 +491,11 @@ Status MemoryManager::evict_page(CtxMem& mem, PageTableEntry& pte, u64 page) {
       stats_.async_writebacks.fetch_add(1, std::memory_order_relaxed);
       async_writebacks_counter().add(1);
     }
+  }
+  if (r.size() == pte.size) {
+    // The entry's only page: the whole entry left the device.
+    if (dirty) count_saved(pte.size - moved);
+    count_entry_swap(pte, dirty);
   }
   audit_residency(pte);
   return Status::Ok;
@@ -644,15 +655,15 @@ void MemoryManager::rewrite_nested_to_virtual(CtxMem& mem, PageTableEntry& pte) 
 
 Status MemoryManager::swap_entry(CtxMem& mem, PageTableEntry& pte) {
   if (!pte.is_allocated) return Status::Ok;
+  if (pte.mapped.empty()) {
+    // Every page was evicted already: nothing to write back or count.
+    release_device(mem, pte);
+    return Status::Ok;
+  }
   Status sync = Status::Ok;
-  if (!pte.to_copy_2_swap) {
-    // Clean eviction: the swap copy is already authoritative, no D2H at all.
-    stats_.clean_swap_skips.fetch_add(1, std::memory_order_relaxed);
-    if (config_.incremental_swap) {
-      stats_.dirty_bytes_saved.fetch_add(pte.size, std::memory_order_relaxed);
-      dirty_bytes_saved_counter().add(pte.size);
-    }
-  } else if (config_.async_writeback) {
+  // A clean entry's swap copy is already authoritative: no D2H at all.
+  const bool dirty = pte.to_copy_2_swap;
+  if (dirty && config_.async_writeback) {
     // Asynchronous write-back: snapshot the device bytes into swap now
     // (content-correct immediately, like staging into a pinned buffer) and
     // reserve the copy engine without sleeping. The evictor's subsequent
@@ -683,29 +694,38 @@ Status MemoryManager::swap_entry(CtxMem& mem, PageTableEntry& pte) {
       stats_.async_writebacks.fetch_add(1, std::memory_order_relaxed);
       async_writebacks_counter().add(1);
       stats_.swap_out_bytes.fetch_add(moved, std::memory_order_relaxed);
-      if (config_.incremental_swap) {
-        stats_.dirty_bytes_saved.fetch_add(pte.size - moved, std::memory_order_relaxed);
-        dirty_bytes_saved_counter().add(pte.size - moved);
-      }
+      count_saved(pte.size - moved);
     }
-  } else {
-    sync = sync_to_swap(pte);  // costed writeback when dirty
+  } else if (dirty) {
+    sync = sync_to_swap(pte);  // costed writeback
   }
   if (!pte.nested.empty()) rewrite_nested_to_virtual(mem, pte);
-  const u64 mapped_pages = pte.mapped.pages(config_.page_bytes, pte.size).size();
+  const u64 mapped_pages = pte.mapped.pages(page_bytes_of(pte), pte.size).size();
   release_device(mem, pte);
   pte.to_copy_2_dev = true;  // next use re-materializes from swap
   pte.dev_dirty.clear();     // the device copy is gone
   pte.host_dirty.clear();    // recomputed from swap_valid at re-materialization
-  if (config_.paging) {
-    // The page-use stamps survive: they still describe the entry's heat.
-    stats_.page_evictions.fetch_add(mapped_pages, std::memory_order_relaxed);
-    page_evictions_counter().add(mapped_pages);
+  // The page-use stamps survive: they still describe the entry's heat.
+  stats_.page_evictions.fetch_add(mapped_pages, std::memory_order_relaxed);
+  page_evictions_counter().add(mapped_pages);
+  count_entry_swap(pte, dirty);
+  return sync == Status::ErrorDeviceUnavailable ? Status::Ok : sync;
+}
+
+void MemoryManager::count_saved(u64 bytes) {
+  if (!config_.incremental_swap) return;
+  stats_.dirty_bytes_saved.fetch_add(bytes, std::memory_order_relaxed);
+  dirty_bytes_saved_counter().add(bytes);
+}
+
+void MemoryManager::count_entry_swap(const PageTableEntry& pte, bool dirty) {
+  if (!dirty) {
+    stats_.clean_swap_skips.fetch_add(1, std::memory_order_relaxed);
+    count_saved(pte.size);
   }
   stats_.swapped_entries.fetch_add(1, std::memory_order_relaxed);
   stats_.swap_bytes.fetch_add(pte.size, std::memory_order_relaxed);
   swap_bytes_hist().observe(static_cast<double>(pte.size));
-  return sync == Status::ErrorDeviceUnavailable ? Status::Ok : sync;
 }
 
 void MemoryManager::release_device(CtxMem& mem, PageTableEntry& pte) {
@@ -755,7 +775,6 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
     roots.push_back(ref.pte);
   }
   std::vector<PageTableEntry*> closure = nested_closure(*mem, std::move(roots));
-  const std::set<PageTableEntry*> needed(closure.begin(), closure.end());
 
   // Paged engine: scope this launch's data movement to the pages its
   // AccessHint annotations declare (page-rounded byte ranges per hinted
@@ -801,26 +820,31 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
       hint_written.erase(pte);
     }
     for (auto& [pte, set] : hint_needed) {
-      set = set.page_rounded(config_.page_bytes, pte->size);
+      set = set.page_rounded(page_bytes_of(*pte), pte->size);
     }
     for (auto& [pte, set] : hint_written) {
-      set = set.page_rounded(config_.page_bytes, pte->size);
+      set = set.page_rounded(page_bytes_of(*pte), pte->size);
     }
   }
-  // Paged engine: the bytes each entry must have mapped for this launch --
-  // its hinted pages, or all of it -- and what they add up to.
+  // The bytes each entry must have mapped for this launch -- its hinted
+  // pages, or all of it -- and what they add up to. A launch needing more
+  // than the whole device can never run: fail hard instead of asking the
+  // caller to retry forever.
   std::map<PageTableEntry*, IntervalSet> must_map;
   u64 launch_bytes = 0;
-  if (config_.paging) {
-    for (PageTableEntry* pte : closure) {
-      IntervalSet& need = must_map[pte];
-      if (const auto h = hint_needed.find(pte); h != hint_needed.end()) {
-        need = h->second;
-      } else {
-        need.add(0, pte->size);
-      }
-      launch_bytes += need.total_bytes();
+  for (PageTableEntry* pte : closure) {
+    IntervalSet& need = must_map[pte];
+    if (const auto h = hint_needed.find(pte); h != hint_needed.end()) {
+      need = h->second;
+    } else {
+      need.add(0, pte->size);
     }
+    launch_bytes += need.total_bytes();
+  }
+  if (const sim::SimGpu* dev = rt_->machine().gpu(gpu);
+      dev == nullptr || launch_bytes + rt_->context_reservation_bytes() > dev->capacity_bytes()) {
+    result.error = Status::ErrorMemoryAllocation;
+    return result;
   }
 
   // Intra-application swaps count once per launch, however many victims.
@@ -833,15 +857,14 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
   };
   for (PageTableEntry* pte : closure) {
     // Stragglers resident on a different (or dead) device migrate -- via a
-    // direct GPU-to-GPU copy in CUDA 4 mode, through the swap area
-    // otherwise.
+    // direct GPU-to-GPU copy of their mapped pages in CUDA 4 mode, through
+    // the swap area otherwise. Pages evicted before the move are mapped and
+    // uploaded below like any other.
     if (pte->is_allocated) {
       if (GpuId{pte->resident_gpu} != gpu) {
-        if (config_.cuda4_semantics && try_peer_move(*mem, *pte, gpu, client)) {
-          lru_touch(*mem, *pte, now_stamp);
-          continue;
+        if (!config_.cuda4_semantics || !try_peer_move(*mem, *pte, gpu, client)) {
+          (void)swap_entry(*mem, *pte);
         }
-        (void)swap_entry(*mem, *pte);
       } else {
         sim::SimGpu* dev = rt_->machine().gpu(gpu);
         if (dev == nullptr || !dev->healthy()) {
@@ -849,105 +872,42 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
         }
       }
     }
-    if (config_.paging) {
-      // Reserve the span once, then map the launch's pages inside it,
-      // evicting this context's coldest pages the launch does not need
-      // while the device is full.
-      const sim::SimGpu* dev = rt_->machine().gpu(gpu);
-      if (dev == nullptr ||
-          launch_bytes + rt_->context_reservation_bytes() > dev->capacity_bytes()) {
-        result.error = Status::ErrorMemoryAllocation;
+    // Reserve the span once, then map the launch's pages inside it,
+    // evicting this context's coldest pages the launch does not need while
+    // the device is full (intra-application swap: what lets a single app
+    // exceed device capacity, section 4.5's matmul example).
+    if (!pte->is_allocated) {
+      auto span = rt_->reserve(client, pte->size);
+      if (!span) {
+        result.error = span.status();
         return result;
       }
-      if (!pte->is_allocated) {
-        auto span = rt_->reserve(client, pte->size);
-        if (!span) {
-          result.error = span.status();
-          return result;
-        }
-        pte->device_ptr = span.value();
-        pte->owner_client = client;
-        pte->resident_gpu = gpu;
-        pte->is_allocated = true;
-      }
-      u64 evicted = 0;
-      Status mapped = Status::Ok;
-      u64 missing = 0;
-      for (const u64 p : must_map[pte].pages(config_.page_bytes, pte->size)) {
-        const ByteRange r = page_range(*pte, p);
-        if (pte->mapped.contains(r.begin, r.end)) continue;
-        mapped = map_page(*mem, *pte, p, must_map, now_stamp.count(), /*demand=*/true, &evicted);
-        if (!ok(mapped)) {
-          missing = r.size();
-          break;
-        }
-      }
-      if (evicted > 0) count_intra_swap();
-      if (mapped == Status::ErrorMemoryAllocation) {
-        result.outcome = PrepareOutcome::WouldBlock;
-        result.needed_bytes = missing;
-        return result;
-      }
-      if (!ok(mapped)) {
-        result.error = mapped;
-        return result;
-      }
+      pte->device_ptr = span.value();
+      pte->owner_client = client;
+      pte->resident_gpu = gpu;
+      pte->is_allocated = true;
     }
-    while (!pte->is_allocated) {
-      // An entry larger than the whole device can never be materialized:
-      // fail hard instead of asking the caller to retry forever.
-      const sim::SimGpu* dev = rt_->machine().gpu(gpu);
-      if (dev == nullptr ||
-          pte->size + rt_->context_reservation_bytes() > dev->capacity_bytes()) {
-        result.error = Status::ErrorMemoryAllocation;
-        return result;
-      }
-      auto dptr = rt_->malloc(client, pte->size);
-      if (dptr) {
-        pte->device_ptr = dptr.value();
-        pte->owner_client = client;
-        pte->resident_gpu = gpu;
-        pte->is_allocated = true;
-        // A fresh device allocation holds zeroes, exactly like swap bytes
-        // outside swap_valid: only the validated ranges need uploading to
-        // re-materialize the entry.
-        note_mapped(*mem, *pte, 0, pte->size, now_stamp.count());
+    u64 evicted = 0;
+    Status mapped = Status::Ok;
+    u64 missing = 0;
+    for (const u64 p : must_map[pte].pages(page_bytes_of(*pte), pte->size)) {
+      const ByteRange r = page_range(*pte, p);
+      if (pte->mapped.contains(r.begin, r.end)) continue;
+      mapped = map_page(*mem, *pte, p, must_map, now_stamp.count(), /*demand=*/true, &evicted);
+      if (!ok(mapped)) {
+        missing = r.size();
         break;
       }
-      if (dptr.status() != Status::ErrorMemoryAllocation) {
-        result.error = dptr.status();
-        return result;
-      }
-      // Intra-application swap: evict this context's own resident entries
-      // that this launch does not reference. This is what lets a single app
-      // exceed device capacity (section 4.5's matmul example). Policy-scored
-      // ranking over every evictable candidate; smallest score evicts.
-      // Strict less-than keeps the first-seen candidate on ties, and the
-      // indexed LRU walks in (last_use, vptr) order, so identical runs pick
-      // identical victims. Without page stamps (the entry engine never sets
-      // them) every built-in policy scores by the entry LRU stamp, so the
-      // victim is the first eligible entry of that walk.
-      PageTableEntry* victim = nullptr;
-      double best = 0.0;
-      for (const auto& [key, candidate] : mem->lru) {
-        if (needed.count(candidate) != 0) continue;
-        if (GpuId{candidate->resident_gpu} != gpu) continue;
-        const EvictionCandidate c{candidate->virtual_ptr, candidate->size, config_.page_bytes,
-                                  candidate->last_use.count(),
-                                  std::span<const i64>(candidate->page_use_ns)};
-        const double score = mem->evict->score(c, now_stamp.count());
-        if (victim == nullptr || score < best) {
-          victim = candidate;
-          best = score;
-        }
-      }
-      if (victim == nullptr) {
-        result.outcome = PrepareOutcome::WouldBlock;
-        result.needed_bytes = pte->size;
-        return result;
-      }
-      (void)swap_entry(*mem, *victim);
-      count_intra_swap();
+    }
+    if (evicted > 0) count_intra_swap();
+    if (mapped == Status::ErrorMemoryAllocation) {
+      result.outcome = PrepareOutcome::WouldBlock;
+      result.needed_bytes = missing;
+      return result;
+    }
+    if (!ok(mapped)) {
+      result.error = mapped;
+      return result;
     }
     lru_touch(*mem, *pte, now_stamp);
   }
@@ -965,7 +925,7 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
       fence_upload(*pte);
       std::vector<u64> pages;
       if (const auto h = hint_needed.find(pte); h != hint_needed.end()) {
-        pages = h->second.pages(config_.page_bytes, pte->size);
+        pages = h->second.pages(page_bytes_of(*pte), pte->size);
       } else {
         pages.resize(page_count_of(*pte));
         std::iota(pages.begin(), pages.end(), u64{0});
@@ -1049,10 +1009,7 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
     }
     stats_.swap_in_bytes.fetch_add(bulk_bytes, std::memory_order_relaxed);
     swap_in_bytes_counter().add(bulk_bytes);
-    if (config_.incremental_swap && flagged_bytes > bulk_bytes) {
-      stats_.dirty_bytes_saved.fetch_add(flagged_bytes - bulk_bytes, std::memory_order_relaxed);
-      dirty_bytes_saved_counter().add(flagged_bytes - bulk_bytes);
-    }
+    if (flagged_bytes > bulk_bytes) count_saved(flagged_bytes - bulk_bytes);
     bulk_h2d_bytes_hist().observe(static_cast<double>(bulk_bytes));
     if (config_.paging) {
       // Every synchronously uploaded page was a demand fault this launch
@@ -1061,7 +1018,7 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
       for (const Upload& up : uploads) {
         IntervalSet shipped;
         for (const ByteRange& r : up.ranges) shipped.add(r.begin, r.end);
-        faults += shipped.pages(config_.page_bytes, up.pte->size).size();
+        faults += shipped.pages(page_bytes_of(*up.pte), up.pte->size).size();
       }
       if (faults > 0) {
         stats_.page_faults.fetch_add(faults, std::memory_order_relaxed);
@@ -1116,16 +1073,14 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
   // subset of the needed pages uploaded (and host-undirtied) above, so
   // marking them device-dirty never violates the one-direction-dirty
   // invariant. A read-only hinted launch dirties nothing.
-  if (config_.paging) {
-    for (PageTableEntry* pte : closure) {
-      const auto w = hint_written.find(pte);
-      if (w == hint_written.end() || w->second.empty()) continue;
-      for (const ByteRange& r : w->second.ranges()) {
-        pte->dev_dirty.add(r.begin, r.end);
-        epoch_mark(*mem, *pte, r.begin, r.end);
-      }
-      pte->to_copy_2_swap = true;
+  for (PageTableEntry* pte : closure) {
+    const auto w = hint_written.find(pte);
+    if (w == hint_written.end() || w->second.empty()) continue;
+    for (const ByteRange& r : w->second.ranges()) {
+      pte->dev_dirty.add(r.begin, r.end);
+      epoch_mark(*mem, *pte, r.begin, r.end);
     }
+    pte->to_copy_2_swap = true;
   }
 
   // Prefetch: predicted pages ride the async copy engine and overlap the
@@ -1137,59 +1092,57 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
   // walked page outside the launch (never another tenant's, never another
   // prediction still waiting for its launch); it is stamped with its
   // landing time, so it ranks as fresh, not as never touched.
-  if (config_.paging) {
-    u64 evicted = 0;
-    for (PageTableEntry* pte : closure) {
-      if (hint_needed.find(pte) == hint_needed.end()) continue;
-      const auto t = touched.find(pte);
-      if (t == touched.end() || t->second.empty()) continue;
-      const PrefetchQuery q{pte->virtual_ptr, config_.page_bytes, page_count_of(*pte),
-                            std::span<const u64>(t->second)};
-      std::vector<u64> predicted;
-      mem->prefetch->predict(q, kPrefetchLookahead, &predicted);
-      u64 shipped_pages = 0;
-      u64 shipped_bytes = 0;
-      for (const u64 p : predicted) {
-        if (p >= page_count_of(*pte)) continue;  // out-of-range prediction: dropped
-        const ByteRange page = page_range(*pte, p);
-        if (!pte->mapped.contains(page.begin, page.end)) {
-          if (!pte->swap_valid.overlaps(page.begin, page.end)) continue;  // never populated
-          // Prefetch is best-effort: no memory, no page-in.
-          if (!ok(map_page(*mem, *pte, p, must_map, now_stamp.count(), /*demand=*/false,
-                           &evicted))) {
-            continue;
-          }
+  u64 evicted = 0;
+  for (PageTableEntry* pte : closure) {
+    if (hint_needed.find(pte) == hint_needed.end()) continue;
+    const auto t = touched.find(pte);
+    if (t == touched.end() || t->second.empty()) continue;
+    const PrefetchQuery q{pte->virtual_ptr, page_bytes_of(*pte), page_count_of(*pte),
+                          std::span<const u64>(t->second)};
+    std::vector<u64> predicted;
+    mem->prefetch->predict(q, kPrefetchLookahead, &predicted);
+    u64 shipped_pages = 0;
+    u64 shipped_bytes = 0;
+    for (const u64 p : predicted) {
+      if (p >= page_count_of(*pte)) continue;  // out-of-range prediction: dropped
+      const ByteRange page = page_range(*pte, p);
+      if (!pte->mapped.contains(page.begin, page.end)) {
+        if (!pte->swap_valid.overlaps(page.begin, page.end)) continue;  // never populated
+        // Prefetch is best-effort: no memory, no page-in.
+        if (!ok(map_page(*mem, *pte, p, must_map, now_stamp.count(), /*demand=*/false,
+                         &evicted))) {
+          continue;
         }
-        const IntervalSet ship = pte->host_dirty.intersected(IntervalSet::of(page.begin, page.end));
-        if (ship.empty()) continue;  // already resident
-        vt::TimePoint landed{};
-        for (const ByteRange& r : ship.ranges()) {
-          auto done = rt_->memcpy_h2d_async(
-              pte->owner_client, pte->device_ptr + r.begin,
-              std::span<const std::byte>(pte->swap).subspan(r.begin, r.size()));
-          if (!done.has_value()) break;  // prefetch is best-effort
-          pte->upload_done = std::max(pte->upload_done, done.value());
-          pte->host_dirty.erase(r.begin, r.end);
-          shipped_bytes += r.size();
-          landed = std::max(landed, done.value());
-        }
-        if (landed == vt::TimePoint{}) continue;
-        ++shipped_pages;
-        stamp_pages(*pte, {p}, landed.count());
-        pte->prefetched_untouched.add(page.begin, page.end);
-        must_map[pte].add(page.begin, page.end);  // later predictions keep it
       }
-      if (shipped_pages > 0) {
-        pte->to_copy_2_dev = !pte->host_dirty.empty();
-        stats_.prefetched_pages.fetch_add(shipped_pages, std::memory_order_relaxed);
-        prefetched_pages_counter().add(shipped_pages);
-        stats_.swap_in_bytes.fetch_add(shipped_bytes, std::memory_order_relaxed);
-        swap_in_bytes_counter().add(shipped_bytes);
+      const IntervalSet ship = pte->host_dirty.intersected(IntervalSet::of(page.begin, page.end));
+      if (ship.empty()) continue;  // already resident
+      vt::TimePoint landed{};
+      for (const ByteRange& r : ship.ranges()) {
+        auto done = rt_->memcpy_h2d_async(
+            pte->owner_client, pte->device_ptr + r.begin,
+            std::span<const std::byte>(pte->swap).subspan(r.begin, r.size()));
+        if (!done.has_value()) break;  // prefetch is best-effort
+        pte->upload_done = std::max(pte->upload_done, done.value());
+        pte->host_dirty.erase(r.begin, r.end);
+        shipped_bytes += r.size();
+        landed = std::max(landed, done.value());
       }
+      if (landed == vt::TimePoint{}) continue;
+      ++shipped_pages;
+      stamp_pages(*pte, {p}, landed.count());
+      pte->prefetched_untouched.add(page.begin, page.end);
+      must_map[pte].add(page.begin, page.end);  // later predictions keep it
     }
-    if (evicted > 0) count_intra_swap();
-    for (PageTableEntry* pte : closure) audit_residency(*pte);
+    if (shipped_pages > 0) {
+      pte->to_copy_2_dev = !pte->host_dirty.empty();
+      stats_.prefetched_pages.fetch_add(shipped_pages, std::memory_order_relaxed);
+      prefetched_pages_counter().add(shipped_pages);
+      stats_.swap_in_bytes.fetch_add(shipped_bytes, std::memory_order_relaxed);
+      swap_in_bytes_counter().add(shipped_bytes);
+    }
   }
+  if (evicted > 0) count_intra_swap();
+  for (PageTableEntry* pte : closure) audit_residency(*pte);
 
   result.translated.reserve(args.size());
   for (size_t i = 0; i < args.size(); ++i) {
@@ -1208,21 +1161,20 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
 
 bool MemoryManager::try_peer_move(CtxMem& mem, PageTableEntry& pte, GpuId gpu,
                                   ClientId client) {
+  if (pte.mapped.empty()) return false;  // nothing to copy: swap_entry just releases
   sim::SimGpu* src_dev = rt_->machine().gpu(GpuId{pte.resident_gpu});
   sim::SimGpu* dst_dev = rt_->machine().gpu(gpu);
   if (src_dev == nullptr || dst_dev == nullptr || !src_dev->healthy() || !dst_dev->healthy()) {
     return false;
   }
-  // The destination mirrors the source's residency: the whole entry, or
-  // (paged engine) the same pages inside a fresh span.
-  auto dptr = config_.paging ? rt_->reserve(client, pte.size) : rt_->malloc(client, pte.size);
-  if (!dptr) return false;  // destination full: fall back to the swap path
-  bool moved = true;
-  if (config_.paging) {
-    for (const u64 p : pte.mapped.pages(config_.page_bytes, pte.size)) {
-      const ByteRange r = page_range(pte, p);
-      moved = moved && ok(rt_->map(client, dptr.value() + r.begin, r.size()));
-    }
+  // The destination mirrors the source's residency: the same pages inside
+  // a fresh span.
+  auto dptr = rt_->reserve(client, pte.size);
+  if (!dptr) return false;
+  bool moved = true;  // false: destination full, fall back to the swap path
+  for (const u64 p : pte.mapped.pages(page_bytes_of(pte), pte.size)) {
+    const ByteRange r = page_range(pte, p);
+    moved = moved && ok(rt_->map(client, dptr.value() + r.begin, r.size()));
   }
   for (const ByteRange& r : pte.mapped.ranges()) {
     moved = moved && ok(rt_->memcpy_peer(client, dptr.value() + r.begin,
@@ -1252,7 +1204,7 @@ Status MemoryManager::swap_context(ContextId ctx) {
   Status first_error = Status::Ok;
   for (auto& [vptr, pte] : mem->entries) {
     if (!pte->is_allocated) continue;
-    swapped += pte->size;
+    swapped += pte->mapped.total_bytes();
     const Status s = swap_entry(*mem, *pte);
     if (!ok(s) && ok(first_error)) first_error = s;
   }

@@ -15,7 +15,8 @@
 //     launch            -> (T,F,T)   allocated+copied, device copy dirty
 //     copyHD when bound -> (T,T,F)/(T,F,T) deferred/eager configurations
 //     copyDH            -> device synced to swap first when dirty
-//     swap              -> (F,T,F)   device freed, swap holds the data
+//     swap              -> (F,T,F)   device span freed, swap holds the data
+//     page eviction     -> (T,*,F)   span kept, the evicted pages unmapped
 //
 // Deferral enables: executing malloc/copyHD with no device at all (delayed
 // binding), coalescing multiple host writes into one bulk transfer, intra-
@@ -64,8 +65,8 @@ struct PageTableEntry {
   DevicePtr device_ptr = kNullDevicePtr;
   u64 size = 0;
 
-  /// device_ptr holds a live device span: malloc'd whole by the entry
-  /// engine, reserved (and mapped page by page) by the paged engine.
+  /// device_ptr holds a reserved device span, mapped page by page (one
+  /// page spanning the whole entry in the entry engine).
   bool is_allocated = false;
   bool to_copy_2_dev = false; ///< authoritative data only in swap
   bool to_copy_2_swap = false;///< authoritative data only on device
@@ -111,9 +112,9 @@ struct PageTableEntry {
   /// free. Survives swap-out, device loss and checkpoint/restore.
   IntervalSet swap_valid;
 
-  /// Device bytes backed by mapped memory inside the span: [0, size) while
-  /// an entry-engine entry is allocated; page-aligned ranges (the last page
-  /// clamped to size) the paged engine mapped one page at a time.
+  /// Device bytes backed by mapped memory inside the span: page-aligned
+  /// ranges (the last page clamped to size) mapped one page at a time --
+  /// [0, size) or nothing in the entry engine, whose one page is the entry.
   /// Discipline: dev_dirty and host_dirty never leave `mapped` -- only
   /// mapped bytes can be newer on either side -- and every transfer plan is
   /// clipped to it, so no copy ever touches an unmapped page.
@@ -162,9 +163,10 @@ struct MemStats {
   /// Prefetched pages unmapped (evicted or freed) before any launch
   /// touched them: the share of prefetch traffic that bought nothing.
   u64 prefetch_unused_pages = 0;
+  // Both engines (an entry-engine entry is one page).
   u64 page_evictions = 0;    ///< mapped pages freed by victim eviction
-  /// Paged entries found with device-dirty bytes outside their mapped pages
-  /// at a prepare or page-eviction exit. An invariant: must stay 0.
+  /// Entries found with device-dirty bytes outside their mapped pages at a
+  /// prepare or page-eviction exit. An invariant: must stay 0.
   u64 residency_violations = 0;
 };
 
@@ -193,21 +195,22 @@ struct MemoryConfig {
 
   // ---- Paged engine -------------------------------------------------------
 
-  /// Page-granular residency: each entry reserves its device span once and
-  /// maps, uploads, writes back and evicts fixed-size pages inside it,
-  /// scoped by the launch's AccessHint annotations, with a per-context TLB
-  /// model charging miss costs on prepare_launch. Kernel bodies still
-  /// address one contiguous span. False keeps the entry-granular engine
-  /// (one whole-span map per entry), byte-identical to pre-paging
-  /// behaviour (hints are ignored entirely).
+  /// Page size of the one residency path. Every entry reserves its device
+  /// span once and maps, uploads, writes back and evicts pages inside it.
+  /// True: fixed-size pages (page_bytes), scoped by the launch's AccessHint
+  /// annotations, with a per-context TLB model charging miss costs on
+  /// prepare_launch and page-in prediction. False: the entry-granular
+  /// engine, one page spanning the whole entry; hints are ignored, and
+  /// there is no TLB charge and no prefetch. Kernel bodies always address
+  /// one contiguous span.
   bool paging = false;
   /// Fixed page size of the paged engine. Must be nonzero: the Runtime
   /// refuses every handshake when it is 0.
   u64 page_bytes = 64 * 1024;
-  /// Victim-ranking policy (core/paging_policy.hpp). Ranks intra-app swap
-  /// victims in both engines; without page stamps every built-in ranks by
-  /// the entry LRU stamp. An unknown name makes the Runtime refuse every
-  /// handshake with ErrorInvalidValue.
+  /// Victim-ranking policy (core/paging_policy.hpp). Ranks intra-app page
+  /// victims in both engines; without page stamps (the entry engine never
+  /// sets them) every built-in ranks by the entry LRU stamp. An unknown
+  /// name makes the Runtime refuse every handshake with ErrorInvalidValue.
   std::string eviction_policy = "page-lru";
   /// Page-in prediction policy; "none" = demand paging only.
   std::string prefetch_policy = "stride";
@@ -245,17 +248,18 @@ class MemoryManager {
   struct PrepareResult {
     PrepareOutcome outcome = PrepareOutcome::Error;
     Status error = Status::Ok;
-    /// On WouldBlock: size of the failed allocation (an entry in the entry
-    /// engine, one page in the paged engine).
+    /// On WouldBlock: size of the page that failed to map (the whole entry
+    /// in the entry engine).
     u64 needed_bytes = 0;
     std::vector<sim::KernelArg> translated;  ///< virtual -> device pointers
   };
 
   /// Materializes every page-table entry referenced by `args` on the GPU
-  /// behind `client` (allocate on demand -- whole entries, or the launch's
-  /// pages in the paged engine -- bulk-copy deferred data, patch nested
-  /// pointers, evict own idle entries or pages on OOM) and translates the
-  /// pointer arguments. Marks referenced entries device-dirty.
+  /// behind `client` (reserve each span once and map the launch's pages --
+  /// the whole entry in the entry engine -- bulk-copy deferred data, patch
+  /// nested pointers, evict own idle pages on OOM) and translates the
+  /// pointer arguments. A launch needing more than the whole device fails
+  /// with ErrorMemoryAllocation. Marks referenced entries device-dirty.
   PrepareResult prepare_launch(ContextId ctx, GpuId gpu, ClientId client,
                                const std::vector<sim::KernelArg>& args);
 
@@ -438,10 +442,18 @@ class MemoryManager {
   /// before *reading* the entry's swap bytes.
   void fence_writeback(PageTableEntry& pte);
 
-  /// Writes back (if dirty) and frees the device allocation. Updates
-  /// accounting. The paper's `Swap` internal call, for one entry. With
-  /// async_writeback the D2H drain overlaps the caller's subsequent work.
+  /// Writes back (if dirty) and frees the device span. Updates accounting
+  /// unless no page was mapped. The paper's `Swap` internal call, for one
+  /// entry. With async_writeback the D2H drain overlaps the caller's
+  /// subsequent work.
   Status swap_entry(CtxMem& mem, PageTableEntry& pte);
+
+  /// Counts `bytes` incremental write-back did not have to ship.
+  void count_saved(u64 bytes);
+  /// Counts one entry leaving the device whole -- by swap_entry, or by
+  /// evicting its only page. A clean entry moved nothing and saved all of
+  /// it; a dirty entry's write-back counts its own savings.
+  void count_entry_swap(const PageTableEntry& pte, bool dirty);
 
   /// Frees the entry's device span and dissolves its residency: mapped
   /// pages, TLB translations, in-flight prefetch, LRU slot and resident-
@@ -461,8 +473,9 @@ class MemoryManager {
   /// wasted, and forgets them.
   void retire_prefetched(PageTableEntry& pte, u64 begin, u64 end);
 
-  /// CUDA 4 direct migration of one resident entry to `gpu`; false on any
-  /// obstacle (caller falls back to the swap path).
+  /// CUDA 4 direct migration of one resident entry's mapped pages to `gpu`;
+  /// false when none is mapped or on any obstacle (caller falls back to the
+  /// swap path).
   bool try_peer_move(CtxMem& mem, PageTableEntry& pte, GpuId gpu, ClientId client);
 
   /// After device->swap writeback of a nested parent, the swap image must
@@ -492,7 +505,10 @@ class MemoryManager {
   /// One TLB access for (entry, page); returns true on hit. Evicts the
   /// least-recently-ticked translation at capacity.
   bool tlb_access(CtxMem& mem, const PageTableEntry& pte, u64 page);
-  /// Entry page count under the configured page size (>= 1 for size > 0).
+  /// The entry's page size: MemoryConfig::page_bytes in the paged engine,
+  /// the whole entry in the entry engine.
+  u64 page_bytes_of(const PageTableEntry& pte) const;
+  /// Entry page count under its page size (>= 1 for size > 0).
   u64 page_count_of(const PageTableEntry& pte) const;
   /// Stamps page-use recency for the touched pages (grows page_use_ns
   /// lazily on first paged touch).
@@ -516,7 +532,9 @@ class MemoryManager {
   PageVictim coldest_page(CtxMem& mem, GpuId gpu,
                           const std::map<PageTableEntry*, IntervalSet>& keep, i64 now_ns,
                           bool take_prefetched) const;
-  /// Writes back one mapped page's device-dirty bytes and unmaps it.
+  /// Writes back one mapped page's device-dirty bytes and unmaps it. The
+  /// span stays reserved. Evicting a one-page entry counts as a swapped
+  /// entry, like swap_entry.
   Status evict_page(CtxMem& mem, PageTableEntry& pte, u64 page);
   /// Maps page `page` of the allocated entry, evicting the context's own
   /// coldest pages outside `keep` while the device is full (a prefetch,

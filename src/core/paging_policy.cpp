@@ -1,6 +1,5 @@
 #include "core/paging_policy.hpp"
 
-#include <algorithm>
 #include <map>
 
 #include "common/tuning.hpp"
@@ -17,21 +16,13 @@ i64 page_stamp(const EvictionCandidate& c, u64 page) {
   return stamp != 0 ? stamp : c.entry_last_use_ns;
 }
 
-/// Hottest-page recency: an entry is as warm as its most recently used
-/// page, a page as warm as its own stamp. Entries with no page stamps
-/// (never touched through a hint, or entry-granular history) fall back to
-/// the entry LRU stamp, which makes "page-lru" over unhinted workloads rank
-/// exactly like the entry-granular baseline's LRU walk.
+/// Page recency: a page is as warm as its own stamp. Pages with no stamp
+/// (never touched through a hint, or an entry-engine entry's one page)
+/// fall back to the entry LRU stamp, which makes "page-lru" over unhinted
+/// workloads rank exactly like an LRU walk over entries.
 class PageLruEviction : public EvictionPolicy {
  public:
   const char* name() const override { return "page-lru"; }
-  double score(const EvictionCandidate& c, i64 now_ns) const override {
-    (void)now_ns;
-    i64 hottest = 0;
-    for (const i64 stamp : c.page_use_ns) hottest = std::max(hottest, stamp);
-    if (hottest == 0) hottest = c.entry_last_use_ns;
-    return static_cast<double>(hottest);
-  }
   double page_score(const EvictionCandidate& c, u64 page, i64 now_ns) const override {
     (void)now_ns;
     return static_cast<double>(page_stamp(c, page));
@@ -49,12 +40,6 @@ class WorkingSetEviction : public EvictionPolicy {
   static constexpr i64 kWindowNs = tuning::kWorkingSetWindowNs;
 
   const char* name() const override { return "working-set"; }
-  double score(const EvictionCandidate& c, i64 now_ns) const override {
-    i64 hottest = 0;
-    for (const i64 stamp : c.page_use_ns) hottest = std::max(hottest, stamp);
-    if (hottest == 0) hottest = c.entry_last_use_ns;
-    return rank(in_window(c, now_ns), hottest);
-  }
   double page_score(const EvictionCandidate& c, u64 page, i64 now_ns) const override {
     return rank(in_window(c, now_ns), page_stamp(c, page));
   }

@@ -1,14 +1,14 @@
-// Pluggable paging policies for the page-granular memory engine.
+// Pluggable paging policies for the memory engine.
 //
 // Mirrors core/sched_policy.hpp: a policy is an object behind a fixed
 // factory table keyed by a short name, selected by name from MemoryConfig
 // (and the gpuvmd / bench command lines). Two policy kinds plug into the
 // memory manager:
 //
-//   EvictionPolicy -- ranks swap victims. The entry-granular engine evicts
-//   whole entries and asks for an entry score; the paged engine maps and
-//   evicts single pages (MemoryConfig::paging) and asks for a page score.
-//   Both see the per-page last-use stamps the paged engine maintains.
+//   EvictionPolicy -- ranks page victims. Both engines map and evict
+//   pages and ask for a page score; an entry-engine entry is one page and
+//   carries no page stamps, so its score is the entry LRU stamp. The paged
+//   engine (MemoryConfig::paging) maintains per-page last-use stamps.
 //
 //   PrefetchPolicy -- predicts the pages a context will touch next, from
 //   the (deterministic) sequence of hinted page accesses. Predicted pages
@@ -31,8 +31,7 @@
 
 namespace gpuvm::core {
 
-/// Snapshot of one eviction candidate: an allocated page-table entry (for
-/// page scores, the entry owning the candidate page).
+/// Snapshot of the allocated page-table entry owning a candidate page.
 struct EvictionCandidate {
   u64 virtual_ptr = 0;
   u64 size = 0;
@@ -51,12 +50,9 @@ class EvictionPolicy {
   /// The table name this policy was created under.
   virtual const char* name() const = 0;
 
-  /// Victim score: the candidate with the *smallest* score is evicted
-  /// first. Callers break ties deterministically (entry LRU order).
-  virtual double score(const EvictionCandidate& c, i64 now_ns) const = 0;
-  /// Page victim score for page `page` of the candidate entry, same
-  /// convention (smallest evicts first; callers break ties by entry LRU
-  /// order, then page index).
+  /// Page victim score for page `page` of the candidate entry: the page
+  /// with the *smallest* score is evicted first. Callers break ties
+  /// deterministically (entry LRU order, then page index).
   virtual double page_score(const EvictionCandidate& c, u64 page, i64 now_ns) const = 0;
 };
 
@@ -82,13 +78,12 @@ class PrefetchPolicy {
 };
 
 /// Built-in policies, fixed name tables. Eviction:
-///   page-lru    -- evict the entry whose hottest page is coldest (the
-///                  coldest page); without page stamps rank by the entry
-///                  LRU stamp (bit-identical to the entry-granular LRU
-///                  baseline)
-///   working-set -- evict the entry (a page of the entry) with the fewest
-///                  pages touched inside the working-set window, page-LRU
-///                  on ties
+///   page-lru    -- evict the coldest page; an unstamped page ranks by the
+///                  entry LRU stamp (so the entry engine evicts its least
+///                  recently used entry)
+///   working-set -- evict a page of the entry with the fewest pages
+///                  touched inside the working-set window, page-LRU on
+///                  ties
 /// Prefetch:
 ///   none       -- demand paging only
 ///   sequential -- page in the pages following the highest accessed page

@@ -102,8 +102,10 @@ Result<DevicePtr> SimGpu::malloc(u64 size) {
   if (!addr.has_value()) return Status::ErrorMemoryAllocation;
   // The span sits at its only chunk's placement and is mapped whole.
   const u64 bytes = allocator_.allocation_size(*addr).value();
-  auto span = std::make_unique<Span>(Span{SpanMemory::heap(bytes), {}});
+  auto span = std::make_unique<Span>(Span{SpanMemory(bytes), {}});
   span->chunks.emplace(0, Chunk{bytes, *addr});
+  span->memory.back_heap();
+  span->memory.fill_zero(0, bytes);
   spans_.emplace(*addr, std::move(span));
   ++stats_.mallocs;
   return *addr;
@@ -130,8 +132,9 @@ Result<DevicePtr> SimGpu::reserve(u64 size) {
   // next span.
   next_reserve_ += bytes + kSpanAlign;
   // Unmapped bytes read as poison: a kernel that reads a page nobody paged
-  // in sees this instead of plausible data.
-  spans_.emplace(addr, std::make_unique<Span>(Span{SpanMemory::reserved(bytes), {}}));
+  // in sees this instead of plausible data. The span ends at `size`, so an
+  // entry mapped as one page maps the whole span.
+  spans_.emplace(addr, std::make_unique<Span>(Span{SpanMemory(size), {}}));
   return addr;
 }
 
@@ -157,6 +160,16 @@ Status SimGpu::map(DevicePtr ptr, u64 size) {
   const auto phys = allocator_.allocate(size);
   if (!phys.has_value()) return Status::ErrorMemoryAllocation;
   span->chunks.emplace(offset, Chunk{size, *phys});
+  if (!span->memory.backed()) {
+    // A span mapped whole at once (an entry mapped as one page) is a plain
+    // heap buffer while mapped, like a malloc. One mapped piecewise needs
+    // the OS mapping, whose pages hold memory only while mapped.
+    if (offset == 0 && size == span->memory.size()) {
+      span->memory.back_heap();
+    } else {
+      span->memory.back_os();
+    }
+  }
   span->memory.fill_zero(offset, size);
   return Status::Ok;
 }
@@ -178,7 +191,11 @@ Status SimGpu::unmap(DevicePtr ptr, u64 size) {
   if (first == span->chunks.end() || end != offset + size) return Status::ErrorInvalidValue;
   for (auto it = first; it != last; ++it) (void)allocator_.release(it->second.phys);
   span->chunks.erase(first, last);
-  span->memory.fill_poison(offset, size);
+  if (span->memory.on_heap()) {
+    span->memory.release();  // a heap span is mapped whole: all of it went
+  } else {
+    span->memory.fill_poison(offset, size);
+  }
   return Status::Ok;
 }
 
@@ -396,6 +413,7 @@ Status SimGpu::launch(const KernelDef& def, const LaunchConfig& config,
       u64 offset = 0;
       Span* span = locate_locked(args[i].as_ptr(), &offset);
       if (span == nullptr) return Status::ErrorInvalidDevicePointer;
+      if (!span->memory.backed()) span->memory.back_os();  // nothing mapped: all poison
       buffers[i] = span->memory.bytes().subspan(offset);
     }
     ++stats_.kernels_launched;
@@ -410,6 +428,7 @@ Status SimGpu::launch(const KernelDef& def, const LaunchConfig& config,
     u64 offset = 0;
     Span* span = locate_locked(ptr, &offset);
     if (span == nullptr) return {};
+    if (!span->memory.backed()) span->memory.back_os();
     return span->memory.bytes().subspan(offset);
   };
   KernelExecContext ctx(config, args, std::move(buffers), std::move(resolver));

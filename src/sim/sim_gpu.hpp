@@ -46,7 +46,7 @@ struct GpuStats {
   u64 bytes_from_device = 0;
   u64 failed_ops = 0;
   u64 injected_failures = 0;  ///< inject_failure transitions (at most 1)
-  u64 alloc_faults = 0;       ///< mallocs failed by fail_next_allocs pulses
+  u64 alloc_faults = 0;       ///< mallocs/maps failed by fail_next_allocs pulses
   /// Cumulative busy time of the engines (modeled seconds); divide by the
   /// experiment duration for a utilization figure.
   double compute_busy_seconds = 0.0;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <new>
+#include <vector>
 
 namespace gpuvm::sim {
 
@@ -68,23 +69,22 @@ void remap(std::byte* base, u64 begin, u64 end, int fd) {
 
 }  // namespace
 
-SpanMemory SpanMemory::heap(u64 size) {
-  SpanMemory m;
-  m.heap_.resize(size);
-  m.base_ = m.heap_.data();
-  m.size_ = size;
-  return m;
+void SpanMemory::back_heap() {
+  heap_.reset(new std::byte[size_]);
+  base_ = heap_.get();
 }
 
-SpanMemory SpanMemory::reserved(u64 size) {
-  SpanMemory m;
-  m.size_ = size;
-  m.os_bytes_ = std::max<u64>((size + os_page() - 1) / os_page() * os_page(), os_page());
-  void* p = mmap(nullptr, m.os_bytes_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+void SpanMemory::back_os() {
+  os_bytes_ = std::max<u64>((size_ + os_page() - 1) / os_page() * os_page(), os_page());
+  void* p = mmap(nullptr, os_bytes_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (p == MAP_FAILED) throw std::bad_alloc();
-  m.base_ = static_cast<std::byte*>(p);
-  m.fill_poison(0, size);
-  return m;
+  base_ = static_cast<std::byte*>(p);
+  fill_poison(0, size_);
+}
+
+void SpanMemory::release() {
+  heap_.reset();
+  base_ = nullptr;
 }
 
 SpanMemory::SpanMemory(SpanMemory&& other) noexcept
@@ -109,7 +109,7 @@ void SpanMemory::fill(u64 offset, u64 len, std::byte value, int fd) {
   const u64 page = os_page();
   const u64 first = (offset + page - 1) / page * page;
   const u64 last = (offset + len) / page * page;
-  // Heap spans, ranges without a whole OS page, and poison without a
+  // Heap-backed spans, ranges without a whole OS page, and poison without a
   // poison file are written in place.
   if (os_bytes_ == 0 || first >= last || (value == kPoison && fd < 0)) {
     std::fill_n(base_ + offset, len, value);

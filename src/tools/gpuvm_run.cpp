@@ -217,27 +217,21 @@ int main(int argc, char** argv) {
         // (prefetch_unused_pages sorts beside prefetched_pages), the computed
         // TLB hit-rate and prefetch waste, and the per-launch fault-service
         // quantiles.
-        // A daemon running the entry-granular engine publishes all-zero
-        // gauges; suppress the section entirely then.
+        // Every paged-engine launch walks the TLB; a daemon running the
+        // entry engine never does (its only nonzero page counter is
+        // page_evictions, one page per entry), so the section is skipped.
         {
           double tlb_hits = 0.0;
           double tlb_misses = 0.0;
           double prefetched = 0.0;
           double prefetch_unused = 0.0;
-          bool paging_any = false;
           for (const auto& v : snap.value().values) {
             if (v.name == "stats.mm.tlb_hits") tlb_hits = v.gauge;
             if (v.name == "stats.mm.tlb_misses") tlb_misses = v.gauge;
             if (v.name == "stats.mm.prefetched_pages") prefetched = v.gauge;
             if (v.name == "stats.mm.prefetch_unused_pages") prefetch_unused = v.gauge;
-            if ((v.name.rfind("stats.mm.page", 0) == 0 ||
-                 v.name.rfind("stats.mm.tlb", 0) == 0 ||
-                 v.name.rfind("stats.mm.prefetch", 0) == 0) &&
-                v.gauge != 0.0) {
-              paging_any = true;
-            }
           }
-          if (paging_any) {
+          if (tlb_hits + tlb_misses > 0.0) {
             std::printf("---- paging ----\n");
             for (const auto& v : snap.value().values) {
               if (v.name.rfind("stats.mm.page", 0) != 0 &&
@@ -247,10 +241,8 @@ int main(int argc, char** argv) {
               }
               std::printf("%-48s %.0f\n", v.name.c_str(), v.gauge);
             }
-            if (tlb_hits + tlb_misses > 0.0) {
-              std::printf("%-48s %.1f%%\n", "tlb hit-rate",
-                          100.0 * tlb_hits / (tlb_hits + tlb_misses));
-            }
+            std::printf("%-48s %.1f%%\n", "tlb hit-rate",
+                        100.0 * tlb_hits / (tlb_hits + tlb_misses));
             if (prefetched > 0.0) {
               std::printf("%-48s %.1f%%\n", "prefetch waste (unused / prefetched)",
                           100.0 * prefetch_unused / prefetched);

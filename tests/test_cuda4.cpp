@@ -31,11 +31,54 @@ class Cuda4Test : public ::testing::Test {
     machine_.kernels().add(addone);
   }
 
-  void start(bool cuda4) {
+  void start(bool cuda4, bool paging = false) {
     RuntimeConfig config;
     config.cuda4_semantics = cuda4;
+    config.paging = paging;
     config.scheduler.vgpus_per_device = 2;
     runtime_ = std::make_unique<Runtime>(*rt_, config);
+  }
+
+  /// Materializes entry A on GPU 0, evicts (some of) it by launching B,
+  /// then launches A on GPU 1: the pages the peer copy did not carry must
+  /// still be mapped and uploaded from swap there.
+  void expect_peer_move_after_eviction_keeps_bytes(bool paging) {
+    start(true, paging);
+    MemoryManager& mm = runtime_->memory();
+    ContextId ctx{100};
+    mm.add_context(ctx);
+    ClientId slot0 = rt_->create_client();
+    (void)rt_->set_device(slot0, 0);
+    ClientId slot1 = rt_->create_client();
+    (void)rt_->set_device(slot1, 1);
+
+    constexpr u64 kBytes = 600 * 1024;  // two do not fit one 1 MiB GPU
+    auto a = mm.on_malloc(ctx, kBytes);
+    auto b = mm.on_malloc(ctx, kBytes);
+    ASSERT_TRUE(a.has_value() && b.has_value());
+    std::vector<std::byte> data(kBytes);
+    for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::byte>(i % 251);
+    ASSERT_EQ(mm.on_copy_h2d(ctx, a.value(), data, std::nullopt), Status::Ok);
+    ASSERT_EQ(mm.on_copy_h2d(ctx, b.value(), std::vector<std::byte>(kBytes, std::byte{7}),
+                             std::nullopt),
+              Status::Ok);
+    const GpuId gpu0 = machine_.all_gpus()[0];
+    const GpuId gpu1 = machine_.all_gpus()[1];
+    ASSERT_EQ(mm.prepare_launch(ctx, gpu0, slot0, {sim::KernelArg::dev(a.value())}).outcome,
+              MemoryManager::PrepareOutcome::Ready);
+    ASSERT_EQ(mm.prepare_launch(ctx, gpu0, slot0, {sim::KernelArg::dev(b.value())}).outcome,
+              MemoryManager::PrepareOutcome::Ready);
+    ASSERT_GE(mm.stats().intra_app_swaps, 1u);
+
+    auto prep = mm.prepare_launch(ctx, gpu1, slot1, {sim::KernelArg::dev(a.value())});
+    ASSERT_EQ(prep.outcome, MemoryManager::PrepareOutcome::Ready);
+    std::vector<std::byte> out(kBytes);
+    ASSERT_EQ(machine_.gpu(gpu1)->peek(out, prep.translated[0].as_ptr(), kBytes), Status::Ok);
+    EXPECT_EQ(out, data);
+    EXPECT_EQ(mm.stats().residency_violations, 0u);
+
+    rt_->destroy_client(slot0);
+    rt_->destroy_client(slot1);
   }
 
   vt::Domain dom_;
@@ -153,6 +196,14 @@ TEST_F(Cuda4Test, MigrationUsesDirectPeerTransfer) {
 
   rt_->destroy_client(slot0);
   rt_->destroy_client(slot1);
+}
+
+TEST_F(Cuda4Test, PeerMoveOfEvictedEntryUploadsItFromSwap) {
+  expect_peer_move_after_eviction_keeps_bytes(/*paging=*/false);
+}
+
+TEST_F(Cuda4Test, PeerMoveOfPartlyEvictedEntryUploadsTheRestFromSwap) {
+  expect_peer_move_after_eviction_keeps_bytes(/*paging=*/true);
 }
 
 TEST_F(Cuda4Test, PeerTransferFallsBackToSwapWhenSourceDied) {

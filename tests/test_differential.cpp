@@ -3,10 +3,15 @@
 // gpuvm daemon (FrontendApi) -- including under artificial memory pressure
 // that forces the gpuvm path to swap constantly. This is the apples-to-
 // apples guarantee behind every performance comparison in the evaluation.
+// Every memory-engine mode runs the same oracle: the entry engine and the
+// paged engine, each with deferred and with eager transfers.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <map>
 #include <memory>
+#include <ostream>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -142,10 +147,21 @@ Trace run_sequence(GpuApi& api, u64 seed, int ops, u64 max_floats) {
   return trace;
 }
 
-class DifferentialTest : public ::testing::TestWithParam<u64> {};
+/// Runs the sequence through gpuvm configured by `config` on one GPU of
+/// `capacity` bytes.
+Trace run_gpuvm(const RuntimeConfig& config, u64 capacity, u64 seed, int ops, u64 max_floats) {
+  vt::Domain dom;
+  vt::AttachGuard guard(dom);
+  sim::SimMachine machine(dom, sim::SimParams{1});
+  machine.add_gpu(sim::test_gpu(capacity));
+  register_kernels(machine);
+  cudart::CudaRt rt(machine, cudart::CudaRtConfig{4 * 1024, 8});
+  Runtime runtime(rt, config);
+  FrontendApi api(runtime.connect());
+  return run_sequence(api, seed, ops, max_floats);
+}
 
-TEST_P(DifferentialTest, BareAndGpuvmObserveIdenticalBytes) {
-  const u64 seed = GetParam();
+void expect_bare_and_gpuvm_identical(const RuntimeConfig& config, u64 seed) {
   // Plenty of device memory: no swapping, pure protocol equivalence.
   Trace direct_trace;
   {
@@ -158,44 +174,69 @@ TEST_P(DifferentialTest, BareAndGpuvmObserveIdenticalBytes) {
     DirectApi api(rt);
     direct_trace = run_sequence(api, seed, 120, 8 * 1024);
   }
-  Trace gpuvm_trace;
-  {
-    vt::Domain dom;
-    vt::AttachGuard guard(dom);
-    sim::SimMachine machine(dom, sim::SimParams{1});
-    machine.add_gpu(sim::test_gpu(8 << 20));
-    register_kernels(machine);
-    cudart::CudaRt rt(machine, cudart::CudaRtConfig{4 * 1024, 8});
-    Runtime runtime(rt);
-    FrontendApi api(runtime.connect());
-    gpuvm_trace = run_sequence(api, seed, 120, 8 * 1024);
-  }
+  const Trace gpuvm_trace = run_gpuvm(config, 8 << 20, seed, 120, 8 * 1024);
   EXPECT_EQ(direct_trace.observations, gpuvm_trace.observations);
 }
 
-TEST_P(DifferentialTest, GpuvmUnderMemoryPressureMatchesAmpleMemoryRun) {
+void expect_pressure_invisible(const RuntimeConfig& config, u64 seed) {
   // The same sequence against a tiny device (constant swapping) and a huge
   // device (no swapping) must observe identical bytes: swapping is
   // invisible to the application.
-  const u64 seed = GetParam() * 7919;
-  const auto run_with_capacity = [&](u64 capacity) {
-    vt::Domain dom;
-    vt::AttachGuard guard(dom);
-    sim::SimMachine machine(dom, sim::SimParams{1});
-    machine.add_gpu(sim::test_gpu(capacity));
-    register_kernels(machine);
-    cudart::CudaRt rt(machine, cudart::CudaRtConfig{4 * 1024, 8});
-    Runtime runtime(rt);
-    FrontendApi api(runtime.connect());
-    return run_sequence(api, seed, 100, 6 * 1024);  // up to ~24 KiB buffers
-  };
-  const Trace ample = run_with_capacity(8 << 20);
-  const Trace pressured = run_with_capacity(96 * 1024);  // a few buffers fit
+  const Trace ample = run_gpuvm(config, 8 << 20, seed * 7919, 100, 6 * 1024);
+  // A few buffers (up to ~24 KiB each) fit.
+  const Trace pressured = run_gpuvm(config, 96 * 1024, seed * 7919, 100, 6 * 1024);
   EXPECT_EQ(ample.observations, pressured.observations);
   EXPECT_EQ(ample.statuses, pressured.statuses);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest, ::testing::Values(1, 2, 3, 5, 8, 13, 21, 42));
+/// One oracle run: the memory-engine mode and the sequence's seed.
+struct Mode {
+  bool paging;
+  bool deferred;
+  u64 seed;
+};
+
+/// The printed parameter names each test. The default mode (entry engine,
+/// deferred transfers) prints as its bare seed, so those tests keep the
+/// names they had before the other modes joined the oracle.
+void PrintTo(const Mode& m, std::ostream* os) {
+  if (!m.paging && m.deferred) {
+    *os << m.seed;
+    return;
+  }
+  *os << (m.paging ? "paged" : "entry") << (m.deferred ? "_deferred_" : "_eager_") << m.seed;
+}
+
+/// The eight seeds in each of the given (paging, deferred) modes.
+std::vector<Mode> modes(std::initializer_list<std::pair<bool, bool>> engines) {
+  std::vector<Mode> out;
+  for (const auto& [paging, deferred] : engines) {
+    for (const u64 seed : {1, 2, 3, 5, 8, 13, 21, 42}) out.push_back({paging, deferred, seed});
+  }
+  return out;
+}
+
+class DifferentialTest : public ::testing::TestWithParam<Mode> {
+ protected:
+  static RuntimeConfig config() {
+    RuntimeConfig config;
+    config.paging = GetParam().paging;
+    config.defer_transfers = GetParam().deferred;
+    return config;
+  }
+};
+
+TEST_P(DifferentialTest, BareAndGpuvmObserveIdenticalBytes) {
+  expect_bare_and_gpuvm_identical(config(), GetParam().seed);
+}
+
+TEST_P(DifferentialTest, GpuvmUnderMemoryPressureMatchesAmpleMemoryRun) {
+  expect_pressure_invisible(config(), GetParam().seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest, ::testing::ValuesIn(modes({{false, true}})));
+INSTANTIATE_TEST_SUITE_P(Modes, DifferentialTest,
+                         ::testing::ValuesIn(modes({{false, false}, {true, true}, {true, false}})));
 
 }  // namespace
 }  // namespace gpuvm::core

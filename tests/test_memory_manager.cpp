@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "sim/machine.hpp"
@@ -247,6 +248,42 @@ TEST_F(MemoryManagerTest, EntryLargerThanDeviceFailsHard) {
   EXPECT_EQ(prep.error, Status::ErrorMemoryAllocation);
 }
 
+TEST_F(MemoryManagerTest, EagerPartialWriteKeepsKernelOutputAroundIt) {
+  // Eager transfers: a host write into a resident entry goes straight to
+  // the device. Only the written range is in sync afterwards; the kernel's
+  // output around it must still reach the application on copy-out.
+  MemoryConfig config;
+  config.defer_transfers = false;
+  mm_ = std::make_unique<MM>(*rt_, config);
+  mm_->add_context(ctx_);
+  auto p = mm_->on_malloc(ctx_, 256 * sizeof(float));
+  ASSERT_TRUE(p.has_value());
+  std::vector<float> ones(256, 1.0f);
+  ASSERT_EQ(mm_->on_copy_h2d(ctx_, p.value(), std::as_bytes(std::span(ones)), slot_a_),
+            Status::Ok);  // not resident yet: staged in swap
+  auto prep = prepare({p.value()});
+  ASSERT_EQ(prep.outcome, MM::PrepareOutcome::Ready);
+  ASSERT_EQ(rt_->launch_by_name(slot_a_, "addone", {{1, 1, 1}, {256, 1, 1}}, prep.translated),
+            Status::Ok);
+
+  std::vector<float> patch(4, 5.0f);
+  ASSERT_EQ(mm_->on_copy_h2d(ctx_, p.value(), std::as_bytes(std::span(patch)), slot_a_),
+            Status::Ok);
+  std::vector<float> on_dev(4);
+  ASSERT_EQ(device_a().peek(std::as_writable_bytes(std::span(on_dev)),
+                            prep.translated[0].as_ptr(), 4 * sizeof(float)),
+            Status::Ok);
+  EXPECT_EQ(on_dev, patch);  // the write went straight to the device
+
+  std::vector<float> out(256);
+  ASSERT_EQ(mm_->on_copy_d2h(ctx_, std::as_writable_bytes(std::span(out)), p.value(),
+                             out.size() * sizeof(float)),
+            Status::Ok);
+  for (size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i], i < 4 ? 5.0f : 2.0f) << i;
+  }
+}
+
 TEST_F(MemoryManagerTest, SwapContextEvictsEverythingAndPreservesData) {
   auto a = mm_->on_malloc(ctx_, 256);
   auto b = mm_->on_malloc(ctx_, 256);
@@ -476,6 +513,37 @@ TEST_F(MemoryManagerTest, Figure4FlagTransitions) {
   ASSERT_EQ(prepare({p.value()}).outcome, MM::PrepareOutcome::Ready);
   EXPECT_EQ(mm_->resident_bytes(ctx_, gpu_a_), 64u);
 }
+
+/// The same fixture under each engine: the entry engine (one page per
+/// entry) and the paged engine.
+class MemoryEngineTest : public MemoryManagerTest, public ::testing::WithParamInterface<bool> {
+ protected:
+  MemoryEngineTest() {
+    MemoryConfig config;
+    config.paging = GetParam();
+    mm_ = std::make_unique<MM>(*rt_, config);
+    mm_->add_context(ctx_);
+  }
+};
+
+TEST_P(MemoryEngineTest, LaunchLargerThanDeviceFailsHard) {
+  // Each 600 KiB entry fits the 1 MiB device alone; a launch needing both
+  // never can. It fails hard instead of asking the caller to evict other
+  // tenants and retry forever.
+  auto a = mm_->on_malloc(ctx_, 600 * 1024);
+  auto b = mm_->on_malloc(ctx_, 600 * 1024);
+  ASSERT_TRUE(a && b);
+  const auto prep = prepare({a.value(), b.value()});
+  EXPECT_EQ(prep.outcome, MM::PrepareOutcome::Error);
+  EXPECT_EQ(prep.error, Status::ErrorMemoryAllocation);
+  // Either entry alone still runs.
+  EXPECT_EQ(prepare({a.value()}).outcome, MM::PrepareOutcome::Ready);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, MemoryEngineTest, ::testing::Values(false, true),
+                         [](const auto& info) {
+                           return info.param ? std::string("paged") : std::string("entry");
+                         });
 
 }  // namespace
 }  // namespace gpuvm::core

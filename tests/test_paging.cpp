@@ -115,11 +115,14 @@ TEST(PagingPolicies, PageLruRanksByHottestPageWithEntryFallback) {
   const std::vector<i64> warm{100, 900, 0};
   EvictionCandidate a{1, 3 * kPage, kPage, 50, std::span<const i64>(cold)};
   EvictionCandidate b{2, 3 * kPage, kPage, 50, std::span<const i64>(warm)};
-  EXPECT_LT(policy->score(a, 1000), policy->score(b, 1000));
-  // No page stamps: ranks by the entry LRU stamp, i.e. exactly like the
-  // entry-granular baseline.
+  // A page ranks by its own stamp: a's hottest page is colder than b's.
+  EXPECT_LT(policy->page_score(a, 0, 1000), policy->page_score(b, 1, 1000));
+  // An unstamped page of a stamped entry ranks by the entry LRU stamp.
+  EXPECT_LT(policy->page_score(a, 1, 1000), policy->page_score(a, 0, 1000));
+  // No page stamps: ranks by the entry LRU stamp, i.e. exactly like an LRU
+  // walk over entries (the entry engine's one page per entry).
   EvictionCandidate unstamped{3, 3 * kPage, kPage, 700, {}};
-  EXPECT_GT(policy->score(unstamped, 1000), policy->score(a, 1000));
+  EXPECT_GT(policy->page_score(unstamped, 0, 1000), policy->page_score(a, 0, 1000));
 }
 
 TEST(PagingPolicies, WorkingSetPopulationDominatesRecency) {
@@ -130,7 +133,8 @@ TEST(PagingPolicies, WorkingSetPopulationDominatesRecency) {
   const std::vector<i64> streaming{4'000, 5'000, 6'000};
   EvictionCandidate small{1, 3 * kPage, kPage, 0, std::span<const i64>(one_hot)};
   EvictionCandidate wide{2, 3 * kPage, kPage, 0, std::span<const i64>(streaming)};
-  EXPECT_LT(policy->score(small, 10'000), policy->score(wide, 10'000));
+  // Even the small set's hottest page evicts before the wide set's coldest.
+  EXPECT_LT(policy->page_score(small, 2, 10'000), policy->page_score(wide, 0, 10'000));
 }
 
 TEST(PagingPolicies, SequentialPredictsFollowingPagesWithinEntry) {

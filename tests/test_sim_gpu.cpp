@@ -386,6 +386,30 @@ TEST_F(SimGpuTest, UnmappedBytesArePoisonAndRemappedBytesZero) {
   EXPECT_EQ(back, std::vector<std::byte>(16, std::byte{0}));
 }
 
+TEST_F(SimGpuTest, SpanMappedWholeStartsZeroAndEndsPoisonEveryCycle) {
+  // A span mapped whole at once (an entry-engine page) holds host memory
+  // only while mapped, like a malloc followed by a free: each map reads
+  // zero, each unmap leaves poison behind.
+  const u64 size = 2 * kChunk + 100;  // not a multiple of any alignment
+  auto span = gpu_.reserve(size);
+  ASSERT_TRUE(span.has_value());
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    ASSERT_EQ(gpu_.map(span.value(), size), Status::Ok);
+    std::vector<std::byte> back(size, std::byte{0x77});
+    ASSERT_EQ(gpu_.peek(back, span.value(), size), Status::Ok);
+    EXPECT_EQ(back, std::vector<std::byte>(size, std::byte{0})) << "cycle " << cycle;
+    ASSERT_EQ(gpu_.poke(span.value(), std::vector<std::byte>(size, std::byte{0x11})),
+              Status::Ok);
+    ASSERT_EQ(gpu_.unmap(span.value(), size), Status::Ok);
+  }
+  EXPECT_EQ(gpu_.used_bytes(), 0u);
+  std::byte seen{0};
+  const KernelDef probe = probe_kernel(&seen);
+  ASSERT_EQ(gpu_.launch(probe, {{1, 1, 1}, {1, 1, 1}}, {KernelArg::dev(span.value() + size - 1)}),
+            Status::Ok);
+  EXPECT_EQ(seen, std::byte{0xDE});
+}
+
 TEST_F(SimGpuTest, DoubleMapAndStrayUnmapRejected) {
   auto span = gpu_.reserve(4 * kChunk);
   ASSERT_TRUE(span.has_value());

@@ -129,14 +129,16 @@ TEST(TaskRunner, StopAbandonsPendingTimers) {
   Domain dom;
   TaskRunner runner(dom);
   std::atomic<bool> far_ran{false};
-  runner.spawn([&](Task& t) {
-    t.defer(from_seconds(3600), [&](Task&) { far_ran.store(true); });
-  });
-  // Let the seed step execute so the far timer is actually queued, and stay
-  // attached while stopping: a running attached thread pins the clock, so
-  // the pump's 3600s alarm cannot fire before the cancel lands.
+  // Stay attached from before the spawn until the stop: a running attached
+  // thread pins the clock, so the pump's 3600s alarm cannot fire before the
+  // cancel lands. (Attaching only after the spawn leaves the pump alone in
+  // the domain for a moment, and its alarm may fire right then.)
   {
     AttachGuard guard(dom);
+    runner.spawn([&](Task& t) {
+      t.defer(from_seconds(3600), [&](Task&) { far_ran.store(true); });
+    });
+    // Let the seed step execute so the far timer is actually queued.
     dom.sleep_for(from_micros(1));
     runner.stop();
   }
