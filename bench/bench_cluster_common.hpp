@@ -57,8 +57,9 @@ inline ClusterRun run_cluster_batch(ClusterSetting setting,
   }
   if (setting == ClusterSetting::SharingOffload) cl.enable_offloading();
 
-  cluster::TorqueScheduler torque(dom, cl.node_pointers(),
-                                  cluster::TorqueScheduler::Mode::Oblivious);
+  // Default options: Oblivious mode and round-robin, a policy that always
+  // resolves.
+  auto torque = cluster::TorqueScheduler::create(dom, cl.node_pointers(), {}).value();
   for (const auto& spec : jobs) {
     cluster::Job job;
     job.name = spec.workload;
@@ -74,11 +75,11 @@ inline ClusterRun run_cluster_batch(ClusterSetting setting,
       ctx.verify = spec.verify;
       (void)app->run(ctx);
     };
-    torque.submit(std::move(job));
+    torque->submit(std::move(job));
   }
 
   ClusterRun run;
-  run.batch = torque.run_to_completion();
+  run.batch = torque->run_to_completion();
   run.offloaded = cl.total_offloaded();
   for (size_t n = 0; n < cl.size(); ++n) {
     const auto mem = cl.node(n).runtime().memory().stats();

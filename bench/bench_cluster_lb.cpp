@@ -80,7 +80,9 @@ PolicyRun run_policy(const std::string& policy, int jobs, int kernels) {
   options.sched.dispatch_policy = policy;
   options.directory = cl.directory();
   options.sched.dispatch_interval_seconds = 0.001;
-  cluster::TorqueScheduler torque(dom, cl.node_pointers(), std::move(options));
+  auto made = cluster::TorqueScheduler::create(dom, cl.node_pointers(), std::move(options));
+  if (!made) die("unknown dispatch policy");
+  cluster::TorqueScheduler& torque = *made.value();
 
   std::atomic<int> done{0};
   for (int j = 0; j < jobs; ++j) {

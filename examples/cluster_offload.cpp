@@ -40,8 +40,9 @@ double run_batch(bool offloading, u64* offloaded) {
   }
   if (offloading) cl.enable_offloading();
 
-  cluster::TorqueScheduler torque(dom, cl.node_pointers(),
-                                  cluster::TorqueScheduler::Mode::Oblivious);
+  // Default options: Oblivious mode and round-robin, a policy that always
+  // resolves.
+  auto torque = cluster::TorqueScheduler::create(dom, cl.node_pointers(), {}).value();
   const auto specs =
       workloads::BatchRunner::random_batch(workloads::short_running_names(), 24, /*seed=*/5);
   for (const auto& spec : specs) {
@@ -56,10 +57,10 @@ double run_batch(bool offloading, u64* offloaded) {
       const auto result = workloads::find_workload(spec.workload)->run(ctx);
       if (!result.success()) std::printf("  job %s FAILED\n", spec.workload.c_str());
     };
-    torque.submit(std::move(job));
+    torque->submit(std::move(job));
   }
 
-  const cluster::BatchResult result = torque.run_to_completion();
+  const cluster::BatchResult result = torque->run_to_completion();
   *offloaded = cl.total_offloaded();
   return result.total_seconds;
 }

@@ -3,18 +3,10 @@
 #include <limits>
 
 #include "common/log.hpp"
-#include "core/scheduler.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
 
 namespace gpuvm::cluster {
-
-DirectoryConfig directory_config_from(const core::SchedulerConfig& sched) {
-  DirectoryConfig config;
-  config.high_watermark = sched.offload_high_watermark;
-  config.low_watermark = sched.offload_low_watermark;
-  return config;
-}
 
 using transport::Message;
 using transport::Opcode;

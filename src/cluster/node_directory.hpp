@@ -36,20 +36,7 @@
 #include "transport/channel.hpp"
 #include "transport/message.hpp"
 
-namespace gpuvm::core {
-struct SchedulerConfig;
-}  // namespace gpuvm::core
-
 namespace gpuvm::cluster {
-
-struct DirectoryConfig;
-
-/// Maps the unified core::SchedulerConfig onto a DirectoryConfig: the
-/// offload watermarks (offload_high_watermark / offload_low_watermark) come
-/// from the scheduler config -- one struct owns dispatch policy, preemption
-/// policy, quantum and watermarks -- while heartbeat cadence keeps the
-/// directory defaults.
-DirectoryConfig directory_config_from(const core::SchedulerConfig& sched);
 
 struct DirectoryConfig {
   /// Heartbeat period requested from each subscribed daemon. See

@@ -4,7 +4,6 @@
 
 #include "cluster/dispatch_policy.hpp"
 #include "cluster/node_directory.hpp"
-#include "common/log.hpp"
 #include "core/direct_api.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
@@ -13,37 +12,22 @@
 
 namespace gpuvm::cluster {
 
-namespace {
-
-TorqueScheduler::Options options_for_mode(TorqueScheduler::Mode mode) {
-  TorqueScheduler::Options options;
-  options.mode = mode;
-  return options;
+StatusOr<std::unique_ptr<TorqueScheduler>> TorqueScheduler::create(vt::Domain& dom,
+                                                                   std::vector<Node*> nodes,
+                                                                   Options options) {
+  auto policy = make_dispatch_policy(options.sched.dispatch_policy);
+  if (!policy) return policy.status();
+  return std::unique_ptr<TorqueScheduler>(new TorqueScheduler(
+      dom, std::move(nodes), std::move(options), std::move(policy).value()));
 }
 
-}  // namespace
-
-TorqueScheduler::TorqueScheduler(vt::Domain& dom, std::vector<Node*> nodes, Mode mode)
-    : TorqueScheduler(dom, std::move(nodes), options_for_mode(mode)) {}
-
-TorqueScheduler::TorqueScheduler(vt::Domain& dom, std::vector<Node*> nodes, Options options)
-    : dom_(&dom), nodes_(std::move(nodes)), options_(std::move(options)), tokens_cv_(dom) {
-  // Deprecated-alias resolution: a pre-built policy object wins (old API),
-  // otherwise the unified config names the policy. Bad names fall back to
-  // the round-robin baseline loudly -- constructors cannot return StatusOr,
-  // so flag parsing (gpuvmd --dispatch-policy) validates eagerly instead.
-  if (options_.policy == nullptr) {
-    auto made = make_dispatch_policy(options_.sched.dispatch_policy);
-    if (!made.has_value()) {
-      log::error("torque: unknown dispatch policy '%s', using round_robin",
-                 options_.sched.dispatch_policy.c_str());
-      made = make_round_robin_policy();
-    }
-    options_.policy = std::move(made).value();
-  }
-  if (options_.sched.dispatch_interval_seconds == 0.0) {
-    options_.sched.dispatch_interval_seconds = options_.dispatch_interval_seconds;
-  }
+TorqueScheduler::TorqueScheduler(vt::Domain& dom, std::vector<Node*> nodes, Options options,
+                                 std::unique_ptr<DispatchPolicy> policy)
+    : dom_(&dom),
+      nodes_(std::move(nodes)),
+      options_(std::move(options)),
+      policy_(std::move(policy)),
+      tokens_cv_(dom) {
   tokens_.resize(nodes_.size());
   for (size_t i = 0; i < nodes_.size(); ++i) {
     for (int g = 0; g < nodes_[i]->gpu_count(); ++g) tokens_[i].push_back(g);
@@ -100,11 +84,11 @@ size_t TorqueScheduler::pick_node_for(const Job& job) {
   {
     // Policies may be stateful (round-robin cursor); serialize them.
     std::scoped_lock lock(mu_);
-    pick = options_.policy->pick(job, candidates);
+    pick = policy_->pick(job, candidates);
     if (pick >= candidates.size()) pick = 0;
   }
   obs::metrics()
-      .counter(std::string(obs::names::kClusterDispatchPrefix) + options_.policy->name())
+      .counter(std::string(obs::names::kClusterDispatchPrefix) + policy_->name())
       .add(1);
   return candidates[pick].index;
 }

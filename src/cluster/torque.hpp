@@ -62,8 +62,8 @@ class TorqueScheduler {
     Mode mode = Mode::Oblivious;
     /// The one scheduling config: owns the dispatch policy name
     /// (sched.dispatch_policy), the dispatch stagger
-    /// (sched.dispatch_interval_seconds), the node-level preemption policy
-    /// and quantum, and the offload watermarks. Forward it to the per-node
+    /// (sched.dispatch_interval_seconds), and the node-level preemption
+    /// policy and quantum. Forward it to the per-node
     /// RuntimeConfig so head-node and node-level scheduling read one source
     /// of truth.
     core::SchedulerConfig sched;
@@ -75,20 +75,14 @@ class TorqueScheduler {
     /// are mint_trace_id(trace_seed, job id), so two runs of the same batch
     /// and seed mint bit-identical traces.
     u64 trace_seed = 0;
-
-    // -- Deprecated aliases (one release; prefer the `sched` fields) --
-
-    /// DEPRECATED: pre-built Oblivious placement policy. Overrides
-    /// sched.dispatch_policy when non-null; prefer naming the policy via
-    /// sched.dispatch_policy instead.
-    std::unique_ptr<DispatchPolicy> policy;
-    /// DEPRECATED alias for sched.dispatch_interval_seconds; honoured only
-    /// while the sched field is 0.
-    double dispatch_interval_seconds = 0.0;
   };
 
-  TorqueScheduler(vt::Domain& dom, std::vector<Node*> nodes, Mode mode);
-  TorqueScheduler(vt::Domain& dom, std::vector<Node*> nodes, Options options);
+  /// Builds a scheduler over `nodes`. Fails with ErrorInvalidValue, before
+  /// any job can dispatch, when options.sched.dispatch_policy names no
+  /// built-in policy.
+  static StatusOr<std::unique_ptr<TorqueScheduler>> create(vt::Domain& dom,
+                                                           std::vector<Node*> nodes,
+                                                           Options options);
   ~TorqueScheduler();
 
   void submit(Job job);
@@ -97,6 +91,9 @@ class TorqueScheduler {
   BatchResult run_to_completion();
 
  private:
+  TorqueScheduler(vt::Domain& dom, std::vector<Node*> nodes, Options options,
+                  std::unique_ptr<DispatchPolicy> policy);
+
   /// Oblivious placement: directory-filtered candidates ranked by the
   /// policy. Falls back to every node when the filter empties the list.
   size_t pick_node_for(const Job& job);
@@ -106,6 +103,8 @@ class TorqueScheduler {
   vt::Domain* dom_;
   std::vector<Node*> nodes_;
   Options options_;
+  /// Oblivious placement policy, resolved from options_.sched.dispatch_policy.
+  std::unique_ptr<DispatchPolicy> policy_;
 
   std::mutex mu_;
   vt::ConditionVariable tokens_cv_;

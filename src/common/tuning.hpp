@@ -45,6 +45,14 @@ inline constexpr double kBaseQuantumSeconds = 0.004993;
 /// (core/scheduler.hpp ThrashGovernor).
 inline constexpr double kMaxQuantumSeconds = 0.159776;
 
+/// Quantum multiplier per governor escalation, divided out per decay step
+/// (core/scheduler.hpp ThrashGovernor).
+inline constexpr double kQuantumEscalation = 2.0;
+
+/// Consecutive calm rotation windows before the governor decays the
+/// quantum one step back toward the base.
+inline constexpr int kCalmWindowsBeforeDecay = 2;
+
 /// Working-set window for the eviction policy (core/paging_policy.cpp).
 /// Round by design: it is a *measurement* window, not a timer -- nothing
 /// sleeps on it, so it cannot tie. 5 ms spans a handful of kernel launches

@@ -6,6 +6,7 @@
 #include <limits>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 
 #include "common/log.hpp"
 #include "common/wire.hpp"
@@ -178,9 +179,10 @@ std::vector<ByteRange> MemoryManager::transfer_plan(const PageTableEntry& pte,
   return plan.intersected(pte.mapped).ranges();
 }
 
-std::vector<ByteRange> MemoryManager::writeback_ranges(const PageTableEntry& pte) const {
-  return transfer_plan(pte,
-                       config_.incremental_swap ? pte.dev_dirty : IntervalSet::of(0, pte.size));
+std::vector<ByteRange> MemoryManager::writeback_ranges(const PageTableEntry& pte,
+                                                       ByteRange range) const {
+  const IntervalSet whole = IntervalSet::of(range.begin, range.end);
+  return transfer_plan(pte, config_.incremental_swap ? pte.dev_dirty.intersected(whole) : whole);
 }
 
 std::vector<ByteRange> MemoryManager::upload_ranges(const PageTableEntry& pte) const {
@@ -258,7 +260,7 @@ Status MemoryManager::on_copy_h2d(ContextId ctx, VirtualPtr dst, std::span<const
   // with stale swap bytes.
   const bool partial = offset != 0 || src.size() != pte->size;
   if (partial && pte->to_copy_2_swap) {
-    if (const Status s = sync_to_swap(*pte); !ok(s)) return s;
+    if (const Status s = write_back(*pte, {0, pte->size}, false); !ok(s)) return s;
   }
   std::memcpy(pte->swap.data() + offset, src.data(), src.size());
   pte->to_copy_2_dev = true;
@@ -270,35 +272,48 @@ Status MemoryManager::on_copy_h2d(ContextId ctx, VirtualPtr dst, std::span<const
   return Status::Ok;
 }
 
-Status MemoryManager::sync_to_swap(PageTableEntry& pte) {
-  if (!pte.to_copy_2_swap) return Status::Ok;
+Status MemoryManager::write_back(PageTableEntry& pte, ByteRange range, bool async) {
   if (!pte.is_allocated) return Status::ErrorNoValidPte;
-  // Incremental engine: ship only the kernel's write-set (consolidated
-  // dev_dirty ranges); the naive baseline ships the whole entry.
+  // Incremental engine: ship only the range's device-dirty bytes (the
+  // kernel's write-set, consolidated); the naive baseline ships the range.
+  // Async: the bytes land in swap now (content-correct immediately, like
+  // staging into a pinned buffer) and the copy engine is reserved without
+  // sleeping; swap readers fence on writeback_done.
+  Status s = Status::Ok;
   u64 moved = 0;
-  for (const ByteRange& r : writeback_ranges(pte)) {
-    const Status s = rt_->memcpy_d2h(pte.owner_client,
-                                     std::span(pte.swap).subspan(r.begin, r.size()),
-                                     pte.device_ptr + r.begin, r.size());
-    if (!ok(s)) {
-      if (s == Status::ErrorDeviceUnavailable) {
-        // Device died with the only up-to-date copy: recover to the last
-        // swap-consistent state (the implicit checkpoint).
-        pte.to_copy_2_swap = false;
-        pte.to_copy_2_dev = true;
-        pte.dev_dirty.clear();
-        pte.host_dirty = pte.swap_valid.intersected(pte.mapped);  // re-upload from swap
-        return s;
-      }
-      return s;
+  for (const ByteRange& r : writeback_ranges(pte, range)) {
+    const auto dst = std::span(pte.swap).subspan(r.begin, r.size());
+    if (async) {
+      auto done = rt_->memcpy_d2h_async(pte.owner_client, dst, pte.device_ptr + r.begin,
+                                        r.size());
+      s = done.status();
+      if (ok(s)) pte.writeback_done = std::max(pte.writeback_done, done.value());
+    } else {
+      s = rt_->memcpy_d2h(pte.owner_client, dst, pte.device_ptr + r.begin, r.size());
     }
-    moved += r.size();
+    if (!ok(s)) break;
     pte.swap_valid.add(r.begin, r.end);
+    moved += r.size();
   }
-  pte.to_copy_2_swap = false;
-  pte.dev_dirty.clear();
+  // The swap image holds virtual (position-independent) pointers again.
+  if (!pte.nested.empty()) rewrite_nested_to_virtual(pte);
+  if (s == Status::ErrorDeviceUnavailable) {
+    // Device died with the only up-to-date copy: recover to the last
+    // swap-consistent state (the implicit checkpoint).
+    pte.to_copy_2_swap = false;
+    pte.to_copy_2_dev = true;
+    pte.dev_dirty.clear();
+    pte.host_dirty = pte.swap_valid.intersected(pte.mapped);  // re-upload from swap
+  }
+  if (!ok(s)) return s;
+  pte.dev_dirty.erase(range.begin, range.end);
+  pte.to_copy_2_swap = !pte.dev_dirty.empty();
   stats_.swap_out_bytes.fetch_add(moved, std::memory_order_relaxed);
-  count_saved(pte.size - moved);
+  if (async) {
+    stats_.async_writebacks.fetch_add(1, std::memory_order_relaxed);
+    async_writebacks_counter().add(1);
+  }
+  if (range.size() == pte.size) count_saved(pte.size - moved);
   return Status::Ok;
 }
 
@@ -450,53 +465,22 @@ Status MemoryManager::evict_page(CtxMem& mem, PageTableEntry& pte, u64 page) {
   // Write back the page's device-dirty bytes (overlapping the caller's
   // work, like swap_entry, when async); a clean page just unmaps.
   const bool dirty = pte.dev_dirty.overlaps(r.begin, r.end);
-  u64 moved = 0;
   if (dirty) {
-    const IntervalSet page_set = IntervalSet::of(r.begin, r.end);
-    const IntervalSet ship =
-        config_.incremental_swap ? pte.dev_dirty.intersected(page_set) : page_set;
-    for (const ByteRange& w : transfer_plan(pte, ship)) {
-      const auto dst = std::span(pte.swap).subspan(w.begin, w.size());
-      if (config_.async_writeback) {
-        auto done = rt_->memcpy_d2h_async(pte.owner_client, dst, pte.device_ptr + w.begin,
-                                          w.size());
-        if (!done.has_value()) return done.status();
-        pte.writeback_done = std::max(pte.writeback_done, done.value());
-      } else if (const Status s = rt_->memcpy_d2h(pte.owner_client, dst,
-                                                  pte.device_ptr + w.begin, w.size());
-                 !ok(s)) {
-        return s;
-      }
-      pte.swap_valid.add(w.begin, w.end);
-      moved += w.size();
-    }
-    if (!pte.nested.empty()) rewrite_nested_to_virtual(mem, pte);
+    if (const Status s = write_back(pte, r, config_.async_writeback); !ok(s)) return s;
   }
   if (const Status s = rt_->unmap(pte.owner_client, pte.device_ptr + r.begin, r.size());
       !ok(s)) {
     return s;
   }
   pte.mapped.erase(r.begin, r.end);
-  pte.dev_dirty.erase(r.begin, r.end);
   pte.host_dirty.erase(r.begin, r.end);
-  pte.to_copy_2_swap = !pte.dev_dirty.empty();
   retire_prefetched(pte, r.begin, r.end);
   tlb_flush_page(mem, pte, page);
   note_unmapped(mem, r.size());
   stats_.page_evictions.fetch_add(1, std::memory_order_relaxed);
   page_evictions_counter().add(1);
-  if (moved > 0) {
-    stats_.swap_out_bytes.fetch_add(moved, std::memory_order_relaxed);
-    if (config_.async_writeback) {
-      stats_.async_writebacks.fetch_add(1, std::memory_order_relaxed);
-      async_writebacks_counter().add(1);
-    }
-  }
-  if (r.size() == pte.size) {
-    // The entry's only page: the whole entry left the device.
-    if (dirty) count_saved(pte.size - moved);
-    count_entry_swap(pte, dirty);
-  }
+  // The entry's only page: the whole entry left the device.
+  if (r.size() == pte.size) count_entry_swap(pte, dirty);
   audit_residency(pte);
   return Status::Ok;
 }
@@ -530,11 +514,12 @@ Status MemoryManager::on_copy_d2h(ContextId ctx, std::span<std::byte> dst, Virtu
     return Status::ErrorSwapSizeMismatch;
   }
   // Table 1: "If (PTE.toCopy2Swap) cudaMemcpyDH" -- sync then serve from swap.
-  if (const Status s = sync_to_swap(*pte); !ok(s)) return s;
-  if (pte->to_copy_2_swap) return Status::ErrorNoValidPte;  // unreachable guard
+  if (pte->to_copy_2_swap) {
+    if (const Status s = write_back(*pte, {0, pte->size}, false); !ok(s)) return s;
+  }
   fence_writeback(*pte);  // an async eviction drain may still be in flight
   // Nested parents keep virtual pointers in their swap image; serve those.
-  if (!pte->nested.empty()) rewrite_nested_to_virtual(*mem, *pte);
+  if (!pte->nested.empty()) rewrite_nested_to_virtual(*pte);
   std::memcpy(dst.data(), pte->swap.data() + offset, size);
   return Status::Ok;
 }
@@ -554,11 +539,13 @@ Status MemoryManager::on_copy_d2d(ContextId ctx, VirtualPtr dst, VirtualPtr src,
   // device work at all unless either side was dirty on device (the
   // destination must sync too when the write is partial -- same stale-swap
   // hazard as partial host writes).
-  if (const Status s = sync_to_swap(*spte); !ok(s)) return s;
+  if (spte->to_copy_2_swap) {
+    if (const Status s = write_back(*spte, {0, spte->size}, false); !ok(s)) return s;
+  }
   fence_writeback(*spte);  // reading the source's swap bytes
   const bool partial = dst_off != 0 || size != dpte->size;
   if (partial && dpte->to_copy_2_swap) {
-    if (const Status s = sync_to_swap(*dpte); !ok(s)) return s;
+    if (const Status s = write_back(*dpte, {0, dpte->size}, false); !ok(s)) return s;
   }
   std::memmove(dpte->swap.data() + dst_off, spte->swap.data() + src_off, size);
   dpte->to_copy_2_dev = true;
@@ -646,8 +633,7 @@ Status MemoryManager::patch_nested_on_device(CtxMem& mem, PageTableEntry& pte) {
   return Status::Ok;
 }
 
-void MemoryManager::rewrite_nested_to_virtual(CtxMem& mem, PageTableEntry& pte) {
-  (void)mem;
+void MemoryManager::rewrite_nested_to_virtual(PageTableEntry& pte) {
   for (const NestedRef& ref : pte.nested) {
     std::memcpy(pte.swap.data() + ref.offset, &ref.target, sizeof(u64));
   }
@@ -660,51 +646,16 @@ Status MemoryManager::swap_entry(CtxMem& mem, PageTableEntry& pte) {
     release_device(mem, pte);
     return Status::Ok;
   }
-  Status sync = Status::Ok;
   // A clean entry's swap copy is already authoritative: no D2H at all.
   const bool dirty = pte.to_copy_2_swap;
-  if (dirty && config_.async_writeback) {
-    // Asynchronous write-back: snapshot the device bytes into swap now
-    // (content-correct immediately, like staging into a pinned buffer) and
-    // reserve the copy engine without sleeping. The evictor's subsequent
-    // work overlaps the modeled drain; swap readers fence on completion.
-    // Only the dirty (write-set) ranges ship; consolidation bridges small
-    // gaps into one transfer.
-    u64 moved = 0;
-    for (const ByteRange& r : writeback_ranges(pte)) {
-      auto done = rt_->memcpy_d2h_async(pte.owner_client,
-                                        std::span(pte.swap).subspan(r.begin, r.size()),
-                                        pte.device_ptr + r.begin, r.size());
-      if (done.has_value()) {
-        pte.writeback_done = std::max(pte.writeback_done, done.value());
-        pte.swap_valid.add(r.begin, r.end);
-        moved += r.size();
-      } else if (done.status() == Status::ErrorDeviceUnavailable) {
-        // Same recovery as the synchronous path: the swap copy (last
-        // checkpoint) becomes authoritative again.
-        sync = Status::ErrorDeviceUnavailable;
-        break;
-      } else {
-        sync = done.status();
-        break;
-      }
-    }
-    pte.to_copy_2_swap = false;
-    if (ok(sync)) {
-      stats_.async_writebacks.fetch_add(1, std::memory_order_relaxed);
-      async_writebacks_counter().add(1);
-      stats_.swap_out_bytes.fetch_add(moved, std::memory_order_relaxed);
-      count_saved(pte.size - moved);
-    }
-  } else if (dirty) {
-    sync = sync_to_swap(pte);  // costed writeback
-  }
-  if (!pte.nested.empty()) rewrite_nested_to_virtual(mem, pte);
+  const Status sync =
+      dirty ? write_back(pte, {0, pte.size}, config_.async_writeback) : Status::Ok;
   const u64 mapped_pages = pte.mapped.pages(page_bytes_of(pte), pte.size).size();
   release_device(mem, pte);
-  pte.to_copy_2_dev = true;  // next use re-materializes from swap
-  pte.dev_dirty.clear();     // the device copy is gone
-  pte.host_dirty.clear();    // recomputed from swap_valid at re-materialization
+  pte.to_copy_2_dev = true;    // next use re-materializes from swap
+  pte.to_copy_2_swap = false;  // the device copy is gone
+  pte.dev_dirty.clear();
+  pte.host_dirty.clear();      // recomputed from swap_valid at re-materialization
   // The page-use stamps survive: they still describe the entry's heat.
   stats_.page_evictions.fetch_add(mapped_pages, std::memory_order_relaxed);
   page_evictions_counter().add(mapped_pages);
@@ -1226,22 +1177,22 @@ Status MemoryManager::checkpoint(ContextId ctx) {
   };
   std::vector<Saved> undo;
   for (auto& [vptr, pte] : mem->entries) {
-    if (pte->to_copy_2_swap && pte->is_allocated) {
-      for (const ByteRange& r : writeback_ranges(*pte)) {
+    if (pte->to_copy_2_swap) {
+      for (const ByteRange& r : writeback_ranges(*pte, {0, pte->size})) {
         const auto old = std::span(pte->swap).subspan(r.begin, r.size());
         undo.push_back(Saved{pte.get(), r, std::vector<std::byte>(old.begin(), old.end())});
       }
-    }
-    const Status s = sync_to_swap(*pte);
-    if (s == Status::ErrorDeviceUnavailable) {
-      for (const Saved& u : undo) {
-        std::copy(u.bytes.begin(), u.bytes.end(),
-                  u.pte->swap.begin() + static_cast<std::ptrdiff_t>(u.range.begin));
+      const Status s = write_back(*pte, {0, pte->size}, false);
+      if (s == Status::ErrorDeviceUnavailable) {
+        for (const Saved& u : undo) {
+          std::copy(u.bytes.begin(), u.bytes.end(),
+                    u.pte->swap.begin() + static_cast<std::ptrdiff_t>(u.range.begin));
+        }
+        return s;
       }
-      return s;
+      if (!ok(s)) return s;
     }
-    if (!ok(s)) return s;
-    if (!pte->nested.empty()) rewrite_nested_to_virtual(*mem, *pte);
+    if (!pte->nested.empty()) rewrite_nested_to_virtual(*pte);
   }
   return Status::Ok;
 }
@@ -1324,117 +1275,245 @@ std::vector<ContextId> MemoryManager::victim_candidates(GpuId gpu, u64 needed,
 }
 
 namespace {
-constexpr u32 kImageMagic = 0x6d766367;  // "gcvm"
-// v2 carried each entry's swap-validity interval set plus the *full* swap
-// buffer. v3 ships bytes only for the validated ranges -- everything
-// outside swap_valid is zero in swap and on any fresh device allocation,
-// so a sparsely populated context costs what it actually holds. This is
-// what makes a migration's round-0 image beat a naive freeze-ship-resume.
-constexpr u32 kImageVersion = 3;
 
-// Position-independent pre-copy delta (collect_migration_delta): entry
-// metadata + only the byte ranges mutated since the previous round.
-constexpr u32 kDeltaMagic = 0x6c646d67;  // "gmdl"
-constexpr u32 kDeltaVersion = 1;
+// Memory-state codec: checkpoint images and migration deltas share one
+// little-endian layout (see the header comment):
+//   u32 magic, u32 version,
+//   u64 tombstone count, u64 vptr per tombstone,
+//   u64 entry count, per entry:
+//     u64 vptr, u64 size, u8 type, u8 is_nested_member,
+//     u64 nested count, (u64 offset, u64 target) per reference,
+//     u64 swap_valid range count, (u64 begin, u64 end) per range,
+//     u64 shipped range count, (u64 begin, u64 end, u64 n, n bytes) per range.
+constexpr u32 kStateMagic = 0x6c646d67;  // "gmdl"
+constexpr u32 kStateVersion = 1;
+// Decoder caps: a corrupt count fails the parse instead of sizing a loop.
+constexpr u64 kMaxRecords = u64{1} << 24;
+constexpr u64 kMaxNestedRefs = u64{1} << 20;
+
+/// An entry to encode and the swap ranges whose bytes it ships.
+struct Shipment {
+  const PageTableEntry* pte = nullptr;
+  IntervalSet ranges;
+};
+
+/// Counts the bytes a WireWriter would append, copying none.
+struct WireSizer {
+  u64 bytes = 0;
+  template <typename T>
+  void put(const T&) {
+    bytes += sizeof(T);
+  }
+  void put_bytes(std::span<const u8> data) { bytes += sizeof(u64) + data.size(); }
+};
+
+template <typename Sink>
+void encode_state(Sink& w, std::span<const VirtualPtr> freed,
+                  const std::vector<Shipment>& entries) {
+  w.put(kStateMagic);
+  w.put(kStateVersion);
+  w.put(static_cast<u64>(freed.size()));
+  for (const VirtualPtr vptr : freed) w.put(vptr);
+  w.put(static_cast<u64>(entries.size()));
+  for (const Shipment& e : entries) {
+    const PageTableEntry& pte = *e.pte;
+    w.put(pte.virtual_ptr);
+    w.put(pte.size);
+    w.put(static_cast<u8>(pte.type));
+    w.put(static_cast<u8>(pte.is_nested_member ? 1 : 0));
+    w.put(static_cast<u64>(pte.nested.size()));
+    for (const NestedRef& ref : pte.nested) {
+      w.put(ref.offset);
+      w.put(ref.target);
+    }
+    w.put(static_cast<u64>(pte.swap_valid.ranges().size()));
+    for (const ByteRange& r : pte.swap_valid.ranges()) {
+      w.put(r.begin);
+      w.put(r.end);
+    }
+    w.put(static_cast<u64>(e.ranges.ranges().size()));
+    for (const ByteRange& r : e.ranges.ranges()) {
+      w.put(r.begin);
+      w.put(r.end);
+      w.put_bytes({reinterpret_cast<const u8*>(pte.swap.data()) + r.begin, r.size()});
+    }
+  }
+}
+
+struct DecodedEntry {
+  VirtualPtr vptr = kNullVirtualPtr;
+  u64 size = 0;
+  EntryType type = EntryType::Linear;
+  bool is_nested_member = false;
+  std::vector<NestedRef> nested;
+  std::vector<ByteRange> valid;
+  /// Shipped ranges and their bytes (borrowed from the encoded buffer).
+  std::vector<std::pair<ByteRange, std::span<const u8>>> shipped;
+};
+
+struct DecodedState {
+  std::vector<VirtualPtr> freed;
+  std::vector<DecodedEntry> entries;
+};
+
+/// Parses and validates a whole encoding; nullopt when it is malformed.
+std::optional<DecodedState> decode_state(std::span<const u8> buf) {
+  WireReader r(buf);
+  if (r.get<u32>() != kStateMagic || r.get<u32>() != kStateVersion) return std::nullopt;
+  DecodedState out;
+  const u64 freed = r.get<u64>();
+  if (!r.ok() || freed > kMaxRecords) return std::nullopt;
+  for (u64 i = 0; i < freed && r.ok(); ++i) out.freed.push_back(r.get<u64>());
+  const std::set<VirtualPtr> dead(out.freed.begin(), out.freed.end());
+  const u64 count = r.get<u64>();
+  if (!r.ok() || count > kMaxRecords) return std::nullopt;
+  for (u64 i = 0; i < count && r.ok(); ++i) {
+    DecodedEntry e;
+    e.vptr = r.get<u64>();
+    e.size = r.get<u64>();
+    e.type = static_cast<EntryType>(r.get<u8>());
+    e.is_nested_member = r.get<u8>() != 0;
+    // An entry wrapping the address space, or one both freed and shipped.
+    if (e.vptr + e.size < e.vptr || dead.count(e.vptr) != 0) return std::nullopt;
+    const u64 refs = r.get<u64>();
+    if (!r.ok() || refs > kMaxNestedRefs) return std::nullopt;
+    for (u64 j = 0; j < refs && r.ok(); ++j) {
+      NestedRef ref;
+      ref.offset = r.get<u64>();
+      ref.target = r.get<u64>();
+      if (ref.offset > e.size || e.size - ref.offset < sizeof(u64)) return std::nullopt;
+      e.nested.push_back(ref);
+    }
+    const u64 valid = r.get<u64>();
+    if (!r.ok() || valid > kMaxRecords) return std::nullopt;
+    for (u64 j = 0; j < valid && r.ok(); ++j) {
+      const u64 begin = r.get<u64>();
+      const u64 end = r.get<u64>();
+      if (begin > end || end > e.size) return std::nullopt;
+      e.valid.push_back(ByteRange{begin, end});
+    }
+    const u64 shipped = r.get<u64>();
+    if (!r.ok() || shipped > kMaxRecords) return std::nullopt;
+    for (u64 j = 0; j < shipped && r.ok(); ++j) {
+      const u64 begin = r.get<u64>();
+      const u64 end = r.get<u64>();
+      if (begin > end || end > e.size) return std::nullopt;
+      const auto bytes = r.get_span();
+      if (!r.ok() || bytes.size() != end - begin) return std::nullopt;
+      e.shipped.emplace_back(ByteRange{begin, end}, bytes);
+    }
+    out.entries.push_back(std::move(e));
+  }
+  if (!r.ok() || r.remaining() != 0) return std::nullopt;
+  return out;
+}
+
 }  // namespace
 
 StatusOr<std::vector<u8>> MemoryManager::export_image(ContextId ctx) {
   CtxMemPtr mem = find(ctx);
   if (mem == nullptr) return Status::ErrorNoValidPte;
   // Make the swap area authoritative (costed writeback of dirty entries),
-  // and let any overlapped eviction drains land before serializing.
+  // and let any overlapped eviction drains land before serializing. Every
+  // entry ships its validated ranges: the rest is zero on both sides.
   if (const Status s = checkpoint(ctx); !ok(s)) return s;
-  for (auto& [vptr, pte] : mem->entries) fence_writeback(*pte);
-
-  WireWriter w;
-  w.put<u32>(kImageMagic);
-  w.put<u32>(kImageVersion);
-  w.put<u64>(mem->entries.size());
-  for (const auto& [vptr, pte] : mem->entries) {
-    w.put<u64>(pte->virtual_ptr);
-    w.put<u64>(pte->size);
-    w.put<u8>(static_cast<u8>(pte->type));
-    w.put<u8>(pte->is_nested_member ? 1 : 0);
-    w.put<u64>(pte->nested.size());
-    for (const NestedRef& ref : pte->nested) {
-      w.put<u64>(ref.offset);
-      w.put<u64>(ref.target);
-    }
-    w.put<u64>(pte->swap_valid.ranges().size());
-    for (const ByteRange& r : pte->swap_valid.ranges()) {
-      w.put<u64>(r.begin);
-      w.put<u64>(r.end);
-      w.put_bytes({reinterpret_cast<const u8*>(pte->swap.data()) + r.begin, r.size()});
-    }
+  std::vector<Shipment> all;
+  for (auto& [vptr, pte] : mem->entries) {
+    fence_writeback(*pte);
+    all.push_back(Shipment{pte.get(), pte->swap_valid});
   }
+  WireWriter w;
+  encode_state(w, {}, all);
   return w.take();
 }
 
 Status MemoryManager::import_image(ContextId ctx, std::span<const u8> image) {
+  return load_state(ctx, image, /*replace=*/true, Status::ErrorCheckpointNotFound);
+}
+
+Status MemoryManager::load_state(ContextId ctx, std::span<const u8> buf, bool replace,
+                                 Status malformed) {
   CtxMemPtr mem = find(ctx);
   if (mem == nullptr) return Status::ErrorNoValidPte;
-  WireReader r(image);
-  if (r.get<u32>() != kImageMagic || r.get<u32>() != kImageVersion) {
-    return Status::ErrorCheckpointNotFound;
-  }
-  const u64 count = r.get<u64>();
-  std::map<VirtualPtr, std::unique_ptr<PageTableEntry>> restored;
-  u64 total_bytes = 0;
-  u64 max_vptr_end = 0;
-  for (u64 i = 0; i < count && r.ok(); ++i) {
-    auto pte = std::make_unique<PageTableEntry>();
-    pte->virtual_ptr = r.get<u64>();
-    pte->size = r.get<u64>();
-    pte->type = static_cast<EntryType>(r.get<u8>());
-    pte->is_nested_member = r.get<u8>() != 0;
-    const u64 refs = r.get<u64>();
-    for (u64 j = 0; j < refs && r.ok(); ++j) {
-      NestedRef ref;
-      ref.offset = r.get<u64>();
-      ref.target = r.get<u64>();
-      pte->nested.push_back(ref);
+  std::optional<DecodedState> state = decode_state(buf);
+  if (!state) return malformed;
+  // Still without touching the context: check every entry against the one
+  // it refreshes and build the swap areas of new ones, so installing below
+  // cannot fail half way.
+  std::map<VirtualPtr, std::unique_ptr<PageTableEntry>> fresh;
+  for (const DecodedEntry& e : state->entries) {
+    const PageTableEntry* known = nullptr;
+    if (const auto it = fresh.find(e.vptr); it != fresh.end()) {
+      known = it->second.get();
+    } else if (const auto at = mem->entries.find(e.vptr); !replace && at != mem->entries.end()) {
+      known = at->second.get();
     }
+    if (known != nullptr) {
+      if (known->size != e.size) return malformed;  // virtual addresses never resize
+      continue;
+    }
+    auto pte = std::make_unique<PageTableEntry>();
+    pte->virtual_ptr = e.vptr;
+    pte->size = e.size;
     try {
-      pte->swap.resize(pte->size);  // zero outside the validated ranges
+      pte->swap.resize(e.size);  // zero outside the shipped ranges
     } catch (const std::bad_alloc&) {
       return Status::ErrorSwapAllocation;
+    } catch (const std::length_error&) {
+      return malformed;  // larger than any swap area can be
     }
-    const u64 valid_ranges = r.get<u64>();
-    for (u64 j = 0; j < valid_ranges && r.ok(); ++j) {
-      const u64 begin = r.get<u64>();
-      const u64 end = r.get<u64>();
-      if (begin > end || end > pte->size) return Status::ErrorCheckpointNotFound;
-      pte->swap_valid.add(begin, end);
-      const auto bytes = r.get_span();
-      if (!r.ok() || bytes.size() != end - begin) return Status::ErrorCheckpointNotFound;
-      std::memcpy(pte->swap.data() + begin, bytes.data(), bytes.size());
+    fresh.emplace(e.vptr, std::move(pte));
+  }
+
+  if (replace) {
+    // Drop the current state (device + swap).
+    for (auto& [vptr, pte] : mem->entries) {
+      if (pte->is_allocated) (void)rt_->free(pte->owner_client, pte->device_ptr);
     }
-    pte->to_copy_2_dev = true;  // materialize from swap on next use
-    total_bytes += pte->size;
-    max_vptr_end = std::max(max_vptr_end, pte->virtual_ptr + pte->size);
-    const VirtualPtr key = pte->virtual_ptr;
-    restored.emplace(key, std::move(pte));
+    mem->entries.clear();
+    mem->lru.clear();
+    mem->tlb = CtxMem::Tlb{};  // every old translation points at dead entries
+    ctx_lru_remove(*mem);
+    mem->total_bytes.store(0, std::memory_order_relaxed);
+    mem->resident_bytes.store(0, std::memory_order_relaxed);
+    mem->resident_gpu.store(0, std::memory_order_relaxed);
   }
-  if (!r.ok() || restored.size() != count) return Status::ErrorCheckpointNotFound;
-
-  // Drop any current state (device + swap), then install the image.
-  for (auto& [vptr, pte] : mem->entries) {
-    if (pte->is_allocated) (void)rt_->free(pte->owner_client, pte->device_ptr);
+  for (const VirtualPtr vptr : state->freed) {
+    const auto it = mem->entries.find(vptr);
+    if (it == mem->entries.end()) continue;  // freed before it ever shipped
+    PageTableEntry* pte = it->second.get();
+    if (pte->is_allocated) release_device(*mem, *pte);
+    mem->total_bytes.fetch_sub(pte->size, std::memory_order_relaxed);
+    mem->entries.erase(it);
   }
-  mem->entries = std::move(restored);
-  mem->lru.clear();  // nothing in the image is device-resident
-  mem->tlb = CtxMem::Tlb{};  // every old translation points at dead entries
-  ctx_lru_remove(*mem);
-  mem->total_bytes.store(total_bytes, std::memory_order_relaxed);
-  mem->resident_bytes.store(0, std::memory_order_relaxed);
-  mem->resident_gpu.store(0, std::memory_order_relaxed);
+  u64 max_vptr_end = 0;
+  for (const DecodedEntry& e : state->entries) {
+    auto it = mem->entries.find(e.vptr);
+    if (it == mem->entries.end()) {
+      it = mem->entries.emplace(e.vptr, std::move(fresh.at(e.vptr))).first;
+      mem->total_bytes.fetch_add(e.size, std::memory_order_relaxed);
+    }
+    PageTableEntry& pte = *it->second;
+    pte.type = e.type;
+    pte.is_nested_member = e.is_nested_member;
+    pte.nested = e.nested;
+    for (const ByteRange& v : e.valid) pte.swap_valid.add(v.begin, v.end);
+    for (const auto& [range, bytes] : e.shipped) {
+      std::memcpy(pte.swap.data() + range.begin, bytes.data(), bytes.size());
+      mark_host_dirty(pte, range.begin, range.end);
+    }
+    pte.to_copy_2_dev = true;  // swap is authoritative: re-materialize from it
+    max_vptr_end = std::max(max_vptr_end, e.vptr + e.size);
+  }
 
-  // Future allocations must not collide with restored virtual addresses
+  // Future allocations must not collide with installed virtual addresses
   // (CAS-max: the bump allocator may race ahead concurrently).
-  const u64 want = (max_vptr_end + 511) / 256 * 256;
-  u64 cur = va_next_.load(std::memory_order_relaxed);
-  while (cur < want &&
-         !va_next_.compare_exchange_weak(cur, want, std::memory_order_relaxed)) {
+  if (max_vptr_end != 0) {
+    const u64 want = (max_vptr_end + 511) / 256 * 256;
+    u64 cur = va_next_.load(std::memory_order_relaxed);
+    while (cur < want &&
+           !va_next_.compare_exchange_weak(cur, want, std::memory_order_relaxed)) {
+    }
   }
   return Status::Ok;
 }
@@ -1467,168 +1546,47 @@ StatusOr<std::vector<u8>> MemoryManager::collect_migration_delta(ContextId ctx) 
   if (mem == nullptr) return Status::ErrorNoValidPte;
   if (!mem->epoch.active) return Status::ErrorInvalidValue;
 
-  WireWriter w;
-  w.put<u32>(kDeltaMagic);
-  w.put<u32>(kDeltaVersion);
-  w.put<u64>(mem->epoch.freed.size());
-  for (const VirtualPtr vptr : mem->epoch.freed) w.put<u64>(vptr);
-
   // Entries recorded dirty that still exist (freed ones became tombstones).
-  std::vector<std::pair<PageTableEntry*, const IntervalSet*>> live;
+  std::vector<Shipment> live;
   for (const auto& [vptr, set] : mem->epoch.dirty) {
     const auto it = mem->entries.find(vptr);
-    if (it != mem->entries.end()) live.emplace_back(it->second.get(), &set);
-  }
-  w.put<u64>(live.size());
-  for (auto& [pte, set] : live) {
+    if (it == mem->entries.end()) continue;
+    PageTableEntry& pte = *it->second;
     // Make swap authoritative for the recorded ranges. A device lost mid-
-    // round is not fatal: sync_to_swap recovers the entry to its last swap-
+    // round is not fatal: write_back recovers the entry to its last swap-
     // consistent state, which is exactly what the job itself replays from.
-    if (const Status s = sync_to_swap(*pte); !ok(s) && s != Status::ErrorDeviceUnavailable) {
-      return s;
+    if (pte.to_copy_2_swap) {
+      const Status s = write_back(pte, {0, pte.size}, false);
+      if (!ok(s) && s != Status::ErrorDeviceUnavailable) return s;
     }
-    fence_writeback(*pte);
-    if (!pte->nested.empty()) rewrite_nested_to_virtual(*mem, *pte);
-
-    w.put<u64>(pte->virtual_ptr);
-    w.put<u64>(pte->size);
-    w.put<u8>(static_cast<u8>(pte->type));
-    w.put<u8>(pte->is_nested_member ? 1 : 0);
-    w.put<u64>(pte->nested.size());
-    for (const NestedRef& ref : pte->nested) {
-      w.put<u64>(ref.offset);
-      w.put<u64>(ref.target);
-    }
-    w.put<u64>(pte->swap_valid.ranges().size());
-    for (const ByteRange& r : pte->swap_valid.ranges()) {
-      w.put<u64>(r.begin);
-      w.put<u64>(r.end);
-    }
+    fence_writeback(pte);
+    if (!pte.nested.empty()) rewrite_nested_to_virtual(pte);
     // Ship only recorded-dirty ∩ swap-valid: bytes outside swap_valid are
     // zero on both sides (the target unions the same validity map).
-    std::vector<ByteRange> ship;
-    for (const ByteRange& d : set->ranges()) {
-      for (const ByteRange& v : pte->swap_valid.ranges()) {
-        const u64 begin = std::max(d.begin, v.begin);
-        const u64 end = std::min(std::min(d.end, v.end), pte->size);
-        if (begin < end) ship.push_back(ByteRange{begin, end});
-      }
-    }
-    w.put<u64>(ship.size());
-    for (const ByteRange& r : ship) {
-      w.put<u64>(r.begin);
-      w.put<u64>(r.end);
-      w.put_bytes({reinterpret_cast<const u8*>(pte->swap.data()) + r.begin, r.size()});
-    }
+    live.push_back(Shipment{&pte, set.intersected(pte.swap_valid)});
   }
+  WireWriter w;
+  encode_state(w, mem->epoch.freed, live);
   mem->epoch.dirty.clear();
   mem->epoch.freed.clear();
   return w.take();
 }
 
 Status MemoryManager::apply_migration_delta(ContextId ctx, std::span<const u8> delta) {
-  CtxMemPtr mem = find(ctx);
-  if (mem == nullptr) return Status::ErrorNoValidPte;
-  WireReader r(delta);
-  if (r.get<u32>() != kDeltaMagic || r.get<u32>() != kDeltaVersion || !r.ok()) {
-    return Status::ErrorProtocol;
-  }
-  const u64 freed = r.get<u64>();
-  if (!r.ok() || freed > (1u << 24)) return Status::ErrorProtocol;
-  for (u64 i = 0; i < freed && r.ok(); ++i) {
-    const VirtualPtr vptr = r.get<u64>();
-    const auto it = mem->entries.find(vptr);
-    if (it == mem->entries.end()) continue;  // freed before it ever shipped
-    PageTableEntry* pte = it->second.get();
-    if (pte->is_allocated) release_device(*mem, *pte);
-    mem->total_bytes.fetch_sub(pte->size, std::memory_order_relaxed);
-    mem->entries.erase(it);
-  }
-  const u64 count = r.get<u64>();
-  if (!r.ok() || count > (1u << 24)) return Status::ErrorProtocol;
-  u64 max_vptr_end = 0;
-  for (u64 i = 0; i < count && r.ok(); ++i) {
-    const VirtualPtr vptr = r.get<u64>();
-    const u64 size = r.get<u64>();
-    const auto type = static_cast<EntryType>(r.get<u8>());
-    const bool is_nested_member = r.get<u8>() != 0;
-    if (!r.ok()) return Status::ErrorProtocol;
-
-    PageTableEntry* pte = nullptr;
-    if (const auto it = mem->entries.find(vptr); it != mem->entries.end()) {
-      pte = it->second.get();
-      if (pte->size != size) return Status::ErrorProtocol;  // vptrs never resize
-    } else {
-      auto fresh = std::make_unique<PageTableEntry>();
-      fresh->virtual_ptr = vptr;
-      fresh->size = size;
-      try {
-        fresh->swap.resize(size);
-      } catch (const std::bad_alloc&) {
-        return Status::ErrorSwapAllocation;
-      }
-      pte = fresh.get();
-      mem->entries.emplace(vptr, std::move(fresh));
-      mem->total_bytes.fetch_add(size, std::memory_order_relaxed);
-    }
-    pte->type = type;
-    pte->is_nested_member = is_nested_member;
-    const u64 refs = r.get<u64>();
-    if (!r.ok() || refs > (1u << 20)) return Status::ErrorProtocol;
-    pte->nested.clear();
-    for (u64 j = 0; j < refs && r.ok(); ++j) {
-      NestedRef ref;
-      ref.offset = r.get<u64>();
-      ref.target = r.get<u64>();
-      pte->nested.push_back(ref);
-    }
-    const u64 valid_ranges = r.get<u64>();
-    if (!r.ok() || valid_ranges > (1u << 24)) return Status::ErrorProtocol;
-    for (u64 j = 0; j < valid_ranges && r.ok(); ++j) {
-      const u64 begin = r.get<u64>();
-      const u64 end = r.get<u64>();
-      if (begin > end || end > pte->size) return Status::ErrorProtocol;
-      pte->swap_valid.add(begin, end);
-    }
-    const u64 dirty_ranges = r.get<u64>();
-    if (!r.ok() || dirty_ranges > (1u << 24)) return Status::ErrorProtocol;
-    for (u64 j = 0; j < dirty_ranges && r.ok(); ++j) {
-      const u64 begin = r.get<u64>();
-      const u64 end = r.get<u64>();
-      if (begin > end || end > pte->size) return Status::ErrorProtocol;
-      const auto bytes = r.get_span();
-      if (!r.ok() || bytes.size() != end - begin) return Status::ErrorProtocol;
-      std::memcpy(pte->swap.data() + begin, bytes.data(), bytes.size());
-      mark_host_dirty(*pte, begin, end);
-    }
-    pte->to_copy_2_dev = true;  // swap is authoritative after a delta
-    max_vptr_end = std::max(max_vptr_end, vptr + size);
-  }
-  if (!r.ok()) return Status::ErrorProtocol;
-
-  if (max_vptr_end != 0) {
-    const u64 want = (max_vptr_end + 511) / 256 * 256;
-    u64 cur = va_next_.load(std::memory_order_relaxed);
-    while (cur < want &&
-           !va_next_.compare_exchange_weak(cur, want, std::memory_order_relaxed)) {
-    }
-  }
-  return Status::Ok;
+  return load_state(ctx, delta, /*replace=*/false, Status::ErrorProtocol);
 }
 
 u64 MemoryManager::naive_image_bytes(ContextId ctx) const {
   CtxMemPtr mem = find(ctx);
   if (mem == nullptr) return 0;
-  // What the v2 (full-buffer) image serialized: fixed header, per-entry
-  // metadata, and every entry's complete footprint regardless of validity.
-  u64 total = sizeof(u32) * 2 + sizeof(u64);
+  // The codec's size with every entry shipped whole, validated or not.
+  std::vector<Shipment> whole;
   for (const auto& [vptr, pte] : mem->entries) {
-    total += 2 * sizeof(u64) + 2 * sizeof(u8);              // vptr, size, type, member
-    total += sizeof(u64) + pte->nested.size() * 2 * sizeof(u64);
-    total += sizeof(u64) + pte->swap_valid.ranges().size() * 2 * sizeof(u64);
-    total += sizeof(u64) + pte->size;                       // full swap bytes
+    whole.push_back(Shipment{pte.get(), IntervalSet::of(0, pte->size)});
   }
-  return total;
+  WireSizer sizer;
+  encode_state(sizer, {}, whole);
+  return sizer.bytes;
 }
 
 u64 MemoryManager::evict_pages(ContextId ctx, GpuId gpu, u64 needed) {

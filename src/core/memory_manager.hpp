@@ -29,13 +29,28 @@
 // relaxed atomics. The only remaining cross-tenant serialization is the
 // scheduler and the device engines themselves.
 //
-// Asynchronous swap write-back (MemoryConfig::async_writeback): evicting a
-// dirty entry snapshots the device bytes into swap immediately (the staging
-// copy of a pinned-buffer write-behind) and reserves the copy engine without
-// blocking -- the evictor overlaps the D2H drain with its own kernel work.
-// Paths that *consume* swap bytes (copyDH, bulk re-materialization, image
-// export) fence on the entry's modeled drain completion, so no reader ever
+// One write-back (write_back): every device->swap copy -- copyDH, partial
+// host writes, checkpoints, migration rounds, entry swaps and page
+// evictions -- ships the range's dirty bytes through one helper. Evictions
+// run it asynchronously (MemoryConfig::async_writeback): the device bytes
+// land in swap immediately (the staging copy of a pinned-buffer
+// write-behind) and the copy engine is reserved without blocking -- the
+// evictor overlaps the D2H drain with its own kernel work. Paths that
+// *consume* swap bytes (copyDH, bulk re-materialization, image export)
+// fence on the entry's modeled drain completion, so no reader ever
 // observes bytes "before the DMA delivered them".
+//
+// Checkpoints (section 4.6): "Our mechanism can be combined with BLCR in
+// order to enable these mechanisms also after a full restart of a node."
+// After checkpoint() the swap area is the authoritative copy, so a
+// context's complete memory state -- every page-table entry's metadata,
+// nested-reference table and validated swap bytes -- serializes to a flat
+// image that restores into a fresh context on any node (the same one after
+// a restart, or a different one for cross-node job migration). No device
+// state is captured and -- unlike NVCR -- restoring replays no allocation
+// history: entries re-materialize on demand at the next kernel launch.
+// Images and live-migration deltas share one codec: an image is a delta
+// that ships every entry's validated bytes and frees nothing.
 #pragma once
 
 #include <atomic>
@@ -98,7 +113,7 @@ struct PageTableEntry {
 
   /// Device ranges newer than swap (refines to_copy_2_swap): written by
   /// kernel launches (per the launch's write-set annotation) and nested
-  /// pointer pokes; drained by sync_to_swap / swap_entry.
+  /// pointer pokes; drained by write_back.
   IntervalSet dev_dirty;
   /// Swap ranges newer than the device copy (refines to_copy_2_dev while
   /// allocated): staged deferred host/d2d writes; re-initialized to
@@ -289,12 +304,16 @@ class MemoryManager {
   Status checkpoint(ContextId ctx);
 
   /// Serializes the context's full memory state (PTE metadata, nested
-  /// references, swap bytes) into a flat image; syncs dirty entries first.
-  /// See core/checkpoint.hpp. Caller holds the ContextLock.
+  /// references, validated swap bytes) into a flat image; checkpoints
+  /// first, so entries still dirty on device are synced (costed). Caller
+  /// holds the ContextLock.
   StatusOr<std::vector<u8>> export_image(ContextId ctx);
 
-  /// Replaces the context's memory state with a previously exported image.
-  /// Virtual addresses are preserved; device residency starts empty (data
+  /// Replaces the context's memory state with a previously exported image
+  /// (or fails with ErrorCheckpointNotFound and leaves it untouched).
+  /// Virtual addresses are preserved exactly, so pointers the application
+  /// captured -- including those stored inside registered nested
+  /// structures -- stay valid; device residency starts empty (data
   /// re-materializes from swap on the next launch).
   Status import_image(ContextId ctx, std::span<const u8> image);
 
@@ -308,7 +327,8 @@ class MemoryManager {
   // Pre-copy protocol: the source arms dirty tracking, exports the sparse
   // image (round 0) and keeps serving the job; each collect call drains the
   // byte ranges mutated since the previous one into a position-independent
-  // delta. The final collect happens with the connection quiesced (the
+  // delta. The target applies every round, the image included, as a delta.
+  // The final collect happens with the connection quiesced (the
   // stop-and-copy), after which the target holds an exact replica.
 
   /// Arms pre-copy dirty tracking. Call under the same ContextLock hold as
@@ -320,12 +340,13 @@ class MemoryManager {
   StatusOr<std::vector<u8>> collect_migration_delta(ContextId ctx);
   /// Disarms pre-copy tracking (migration committed or aborted).
   void end_migration(ContextId ctx);
-  /// Applies a collected delta on the migration target: creates or
-  /// refreshes entries, processes tombstones. Touched entries re-
+  /// Applies a collected delta (or an image) on the migration target:
+  /// creates or refreshes entries, processes tombstones. A malformed delta
+  /// fails with ErrorProtocol and changes nothing. Touched entries re-
   /// materialize from swap on the next launch.
   Status apply_migration_delta(ContextId ctx, std::span<const u8> delta);
-  /// Bytes a naive freeze-ship-resume would move: the full (non-sparse)
-  /// footprint of every entry plus headers -- the bench_migration baseline.
+  /// Bytes a naive freeze-ship-resume would move: the size of an image
+  /// shipping every entry whole -- the bench_migration baseline.
   u64 naive_image_bytes(ContextId ctx) const;
 
   // ---- Queries (thread-safe, no context lock needed) ------------------------
@@ -425,17 +446,24 @@ class MemoryManager {
   /// ranges, clipped to the mapped pages so a bridged gap never crosses an
   /// unmapped one.
   std::vector<ByteRange> transfer_plan(const PageTableEntry& pte, const IntervalSet& dirty) const;
-  /// The byte ranges a swap-path D2H write-back of this entry must ship
-  /// (whole entry in naive mode, consolidated dev_dirty otherwise).
-  std::vector<ByteRange> writeback_ranges(const PageTableEntry& pte) const;
+  /// The byte ranges a D2H write-back of `range` of this entry ships (the
+  /// whole range in naive mode, its consolidated dev_dirty otherwise).
+  std::vector<ByteRange> writeback_ranges(const PageTableEntry& pte, ByteRange range) const;
   /// The byte ranges a re-materializing H2D upload must ship.
   std::vector<ByteRange> upload_ranges(const PageTableEntry& pte) const;
   /// Marks swap bytes [begin, end) newer than the device copy -- only the
   /// mapped part: an unmapped page uploads from swap when it is mapped.
   static void mark_host_dirty(PageTableEntry& pte, u64 begin, u64 end);
 
-  /// Ensures the device copy is synced into swap (costed d2h when dirty).
-  Status sync_to_swap(PageTableEntry& pte);
+  /// The one device->swap write-back (the paper's `Swap`, minus the free):
+  /// ships writeback_ranges(pte, range) D2H -- asynchronously when `async`,
+  /// stamping writeback_done -- extends swap_valid, clears the range's
+  /// device-dirty state and rewrites nested pointers to their virtual form.
+  /// Counts swap_out_bytes, async_writebacks and, for a whole-entry range,
+  /// the bytes it did not ship. On ErrorDeviceUnavailable the swap copy
+  /// becomes authoritative again (the implicit checkpoint). The caller
+  /// decides whether the range is dirty.
+  Status write_back(PageTableEntry& pte, ByteRange range, bool async);
 
   /// Blocks until any in-flight asynchronous write-back of this entry has
   /// drained (modeled time only; the bytes are already in place). Call
@@ -447,6 +475,12 @@ class MemoryManager {
   /// entry. With async_writeback the D2H drain overlaps the caller's
   /// subsequent work.
   Status swap_entry(CtxMem& mem, PageTableEntry& pte);
+
+  /// Decodes an image or delta and installs it into `ctx`: replacing
+  /// every entry (`replace`, an image) or merging into them (a delta). The
+  /// whole buffer is parsed and checked against the context before any
+  /// change; a malformed one returns `malformed` and changes nothing.
+  Status load_state(ContextId ctx, std::span<const u8> buf, bool replace, Status malformed);
 
   /// Counts `bytes` incremental write-back did not have to ship.
   void count_saved(u64 bytes);
@@ -480,7 +514,7 @@ class MemoryManager {
 
   /// After device->swap writeback of a nested parent, the swap image must
   /// hold virtual (position-independent) pointers again.
-  void rewrite_nested_to_virtual(CtxMem& mem, PageTableEntry& pte);
+  static void rewrite_nested_to_virtual(PageTableEntry& pte);
   /// After materialization, pointer slots on the device must hold the
   /// children's device addresses.
   Status patch_nested_on_device(CtxMem& mem, PageTableEntry& pte);

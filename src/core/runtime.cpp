@@ -700,7 +700,6 @@ Message Runtime::forward_migrated(Context& ctx, transport::MessageChannel& chann
 Status Runtime::apply_migrate_chunk(Context& ctx, const Message& msg) {
   auto chunk = transport::decode_migrate_chunk(msg.payload);
   if (!chunk) return chunk.status();
-  if (chunk->round == 0) return mm_->import_image(ctx.id, chunk->image);
   return mm_->apply_migration_delta(ctx.id, chunk->image);
 }
 

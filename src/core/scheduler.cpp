@@ -32,13 +32,13 @@ double ThrashGovernor::on_window(u64 swap_bytes_delta, u64 binds_delta) {
   if (per_bind > config_.thrash_bytes_per_bind) {
     calm_windows_ = 0;
     if (quantum_ < config_.max_quantum_seconds) {
-      quantum_ = std::min(quantum_ * config_.quantum_escalation, config_.max_quantum_seconds);
+      quantum_ = std::min(quantum_ * tuning::kQuantumEscalation, config_.max_quantum_seconds);
       ++trips_;
     }
   } else if (quantum_ > config_.quantum_seconds) {
-    if (++calm_windows_ >= config_.calm_windows_before_decay) {
+    if (++calm_windows_ >= tuning::kCalmWindowsBeforeDecay) {
       calm_windows_ = 0;
-      quantum_ = std::max(config_.quantum_seconds, quantum_ / config_.quantum_escalation);
+      quantum_ = std::max(config_.quantum_seconds, quantum_ / tuning::kQuantumEscalation);
     }
   } else {
     calm_windows_ = 0;

@@ -52,7 +52,7 @@ struct SchedulerStats {
 
 /// The scheduling knobs, in one place: node-level binding policy, the
 /// preemption quantum and its governor, and the cluster-level dispatch
-/// policy and offload watermarks the head node consumes (the former
+/// policy the head node consumes (the former
 /// TorqueScheduler::Options fields -- one struct owns the whole scheduling
 /// surface, so a knob can no longer be set on one layer and silently
 /// ignored by another). RuntimeConfig embeds this struct and hands it to
@@ -80,13 +80,10 @@ struct SchedulerConfig {
   /// Governor ceiling for adaptive quantum escalation.
   double max_quantum_seconds = tuning::kMaxQuantumSeconds;
   /// Swap traffic per bind above which a rotation window counts as
-  /// thrashing and the governor escalates the quantum.
+  /// thrashing and the governor escalates the quantum (by
+  /// tuning::kQuantumEscalation, decaying after
+  /// tuning::kCalmWindowsBeforeDecay calm windows).
   double thrash_bytes_per_bind = 256.0 * 1024.0;
-  /// Multiplier applied per escalation (and divided out per decay).
-  double quantum_escalation = 2.0;
-  /// Consecutive calm windows before the quantum decays one step back
-  /// toward the base.
-  int calm_windows_before_decay = 2;
 
   // ---- Cluster-level dispatch (head node; consumed by TorqueScheduler) -----
   /// Named DispatchPolicy (cluster/dispatch_policy.hpp): "round_robin",
@@ -95,11 +92,6 @@ struct SchedulerConfig {
   /// Hold jobs at the head node and dispatch in periodic sweeps instead of
   /// immediately (0 disables batching).
   double dispatch_interval_seconds = 0.0;
-  /// Offload hysteresis watermarks: a node sheds connections only above
-  /// `offload_high_watermark`, and only onto a peer below
-  /// `offload_low_watermark` (the dead band prevents ping-pong).
-  double offload_high_watermark = 1.0;
-  double offload_low_watermark = 0.5;
 };
 
 /// Anti-thrashing governor (nvshare's TQ escalation): watches swap traffic
@@ -113,8 +105,7 @@ struct SchedulerConfig {
 class ThrashGovernor {
  public:
   /// Reads the SchedulerConfig preemption block: quantum_seconds (the
-  /// base), max_quantum_seconds, thrash_bytes_per_bind, quantum_escalation
-  /// and calm_windows_before_decay.
+  /// base), max_quantum_seconds and thrash_bytes_per_bind.
   explicit ThrashGovernor(const SchedulerConfig& config)
       : config_(config), quantum_(config.quantum_seconds) {}
 

@@ -193,15 +193,17 @@ StatusOr<i64> decode_query_load(std::span<const u8> payload);
 //
 // A migrating source opens a normal forwarded connection to the target (so
 // admission, tracing and teardown reuse the existing paths), then streams
-// the victim's memory image in rounds. Round 0 carries the sparse
-// checkpoint image (export_image); later rounds carry dirty-interval deltas
-// collected while the job kept running. The final MigrateResume carries the
-// last delta plus everything the target needs to impersonate the context:
-// registered functions, modules, pending launch state and accounting.
+// the victim's memory state in rounds, each one a memory-manager delta the
+// target applies the same way. Round 0 carries the sparse checkpoint image
+// (export_image: a delta shipping every entry's validated bytes); later
+// rounds carry dirty-interval deltas collected while the job kept running.
+// The final MigrateResume carries the last delta plus everything the target
+// needs to impersonate the context: registered functions, modules, pending
+// launch state and accounting.
 
 struct MigrateChunkPayload {
-  u32 round = 0;          ///< 0 = full sparse image, >= 1 = delta
-  std::vector<u8> image;  ///< export_image (round 0) or migration delta
+  u32 round = 0;          ///< 0 = the sparse image, >= 1 = a pre-copy delta
+  std::vector<u8> image;  ///< the round's delta (export_image for round 0)
 };
 
 std::vector<u8> encode_migrate_chunk(const MigrateChunkPayload& chunk);

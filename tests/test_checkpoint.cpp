@@ -1,7 +1,7 @@
-// Tests for serializable context checkpoints (core/checkpoint.hpp) -- the
-// BLCR-integration substitute: full context state survives serialization,
-// node restart, and cross-node migration.
-#include "core/checkpoint.hpp"
+// Tests for serializable context checkpoints (MemoryManager::export_image /
+// import_image) -- the BLCR-integration substitute: full context state
+// survives serialization, node restart, and cross-node migration.
+#include "core/memory_manager.hpp"
 
 #include <gtest/gtest.h>
 
@@ -50,14 +50,14 @@ TEST_F(CheckpointTest, ImageRoundTripsMetadataAndData) {
   ASSERT_EQ(mm_->on_copy_h2d(ctx_, a.value(), da, std::nullopt), Status::Ok);
   ASSERT_EQ(mm_->on_copy_h2d(ctx_, b.value(), db, std::nullopt), Status::Ok);
 
-  auto image = serialize_context(*mm_, ctx_);
+  auto image = mm_->export_image(ctx_);
   ASSERT_TRUE(image.has_value());
   EXPECT_GT(image.value().size(), 256u + 1024u);  // data + metadata
 
   // Restore into a different context (e.g., after a node restart).
   ContextId restored{2};
   mm_->add_context(restored);
-  ASSERT_EQ(restore_context(*mm_, restored, image.value()), Status::Ok);
+  ASSERT_EQ(mm_->import_image(restored, image.value()), Status::Ok);
   EXPECT_EQ(mm_->mem_usage(restored), 256u + 1024u);
 
   std::vector<std::byte> out(1024);
@@ -79,12 +79,12 @@ TEST_F(CheckpointTest, SerializationSyncsDirtyDeviceState) {
   ASSERT_EQ(rt_->launch_by_name(slot_, "addone", {{1, 1, 1}, {32, 1, 1}}, prep.translated),
             Status::Ok);
   // Device now holds 2.0f; the swap copy is stale until serialization syncs.
-  auto image = serialize_context(*mm_, ctx_);
+  auto image = mm_->export_image(ctx_);
   ASSERT_TRUE(image.has_value());
 
   ContextId restored{2};
   mm_->add_context(restored);
-  ASSERT_EQ(restore_context(*mm_, restored, image.value()), Status::Ok);
+  ASSERT_EQ(mm_->import_image(restored, image.value()), Status::Ok);
   std::vector<float> out(32);
   ASSERT_EQ(mm_->on_copy_d2h(restored, std::as_writable_bytes(std::span(out)), p.value(),
                              32 * sizeof(float)),
@@ -98,12 +98,12 @@ TEST_F(CheckpointTest, RestoredContextMaterializesAndRunsKernels) {
   std::vector<float> data(32, 5.0f);
   ASSERT_EQ(mm_->on_copy_h2d(ctx_, p.value(), std::as_bytes(std::span(data)), std::nullopt),
             Status::Ok);
-  auto image = serialize_context(*mm_, ctx_);
+  auto image = mm_->export_image(ctx_);
   ASSERT_TRUE(image.has_value());
 
   ContextId restored{2};
   mm_->add_context(restored);
-  ASSERT_EQ(restore_context(*mm_, restored, image.value()), Status::Ok);
+  ASSERT_EQ(mm_->import_image(restored, image.value()), Status::Ok);
   auto prep = mm_->prepare_launch(restored, machine_.all_gpus()[0], slot_,
                                   {sim::KernelArg::dev(p.value())});
   ASSERT_EQ(prep.outcome, MemoryManager::PrepareOutcome::Ready);
@@ -122,11 +122,11 @@ TEST_F(CheckpointTest, NestedReferencesSurviveRestore) {
   ASSERT_TRUE(child && parent);
   ASSERT_EQ(mm_->register_nested(ctx_, parent.value(), {{0, child.value()}}), Status::Ok);
 
-  auto image = serialize_context(*mm_, ctx_);
+  auto image = mm_->export_image(ctx_);
   ASSERT_TRUE(image.has_value());
   ContextId restored{2};
   mm_->add_context(restored);
-  ASSERT_EQ(restore_context(*mm_, restored, image.value()), Status::Ok);
+  ASSERT_EQ(mm_->import_image(restored, image.value()), Status::Ok);
 
   // The restored parent's swap image still holds the child's virtual ptr.
   std::vector<u64> slot(1);
@@ -139,7 +139,7 @@ TEST_F(CheckpointTest, NestedReferencesSurviveRestore) {
 TEST_F(CheckpointTest, NewAllocationsAfterRestoreDoNotCollide) {
   auto p = mm_->on_malloc(ctx_, 4096);
   ASSERT_TRUE(p.has_value());
-  auto image = serialize_context(*mm_, ctx_);
+  auto image = mm_->export_image(ctx_);
   ASSERT_TRUE(image.has_value());
 
   // Restore into a *fresh memory manager* (simulated node restart): its
@@ -147,7 +147,7 @@ TEST_F(CheckpointTest, NewAllocationsAfterRestoreDoNotCollide) {
   MemoryManager fresh(*rt_);
   ContextId restored{7};
   fresh.add_context(restored);
-  ASSERT_EQ(restore_context(fresh, restored, image.value()), Status::Ok);
+  ASSERT_EQ(fresh.import_image(restored, image.value()), Status::Ok);
   auto fresh_ptr = fresh.on_malloc(restored, 4096);
   ASSERT_TRUE(fresh_ptr.has_value());
   EXPECT_TRUE(fresh_ptr.value() >= p.value() + 4096 || fresh_ptr.value() + 4096 <= p.value());
@@ -157,15 +157,33 @@ TEST_F(CheckpointTest, CorruptImagesRejected) {
   ContextId restored{2};
   mm_->add_context(restored);
   std::vector<u8> junk(64, 0xab);
-  EXPECT_EQ(restore_context(*mm_, restored, junk), Status::ErrorCheckpointNotFound);
+  EXPECT_EQ(mm_->import_image(restored, junk), Status::ErrorCheckpointNotFound);
 
   auto p = mm_->on_malloc(ctx_, 64);
   ASSERT_TRUE(p.has_value());
-  auto image = serialize_context(*mm_, ctx_);
+  auto image = mm_->export_image(ctx_);
   ASSERT_TRUE(image.has_value());
   auto truncated = image.value();
   truncated.resize(truncated.size() / 2);
-  EXPECT_EQ(restore_context(*mm_, restored, truncated), Status::ErrorCheckpointNotFound);
+  EXPECT_EQ(mm_->import_image(restored, truncated), Status::ErrorCheckpointNotFound);
+
+  // Every truncation fails whole: a context restored from one keeps the
+  // entries and bytes it held before.
+  auto q = mm_->on_malloc(ctx_, 32);
+  ASSERT_TRUE(q.has_value());
+  const std::vector<std::byte> data(32, std::byte{0x5a});
+  ASSERT_EQ(mm_->on_copy_h2d(ctx_, q.value(), data, std::nullopt), Status::Ok);
+  auto full = mm_->export_image(ctx_);
+  ASSERT_TRUE(full.has_value());
+  ASSERT_EQ(mm_->import_image(restored, full.value()), Status::Ok);
+  for (size_t len = 0; len < full.value().size(); ++len) {
+    const std::span<const u8> prefix(full.value().data(), len);
+    ASSERT_EQ(mm_->import_image(restored, prefix), Status::ErrorCheckpointNotFound) << len;
+    ASSERT_EQ(mm_->mem_usage(restored), 64u + 32u) << len;
+    std::vector<std::byte> out(32);
+    ASSERT_EQ(mm_->on_copy_d2h(restored, out, q.value(), out.size()), Status::Ok) << len;
+    ASSERT_EQ(out, data) << len;
+  }
 }
 
 TEST_F(CheckpointTest, CheckpointLosingItsDeviceLeavesEveryEntryAtThePreviousOne) {

@@ -15,6 +15,12 @@ namespace {
 
 sim::GpuSpec small_gpu() { return sim::test_gpu(1 << 20); }
 
+TorqueScheduler::Options mode_options(TorqueScheduler::Mode mode) {
+  TorqueScheduler::Options options;
+  options.mode = mode;
+  return options;
+}
+
 void add_kernels(Cluster& cluster) {
   sim::KernelDef burn;
   burn.name = "burn";  // 1ms on the 100-GFLOPS test GPU
@@ -70,7 +76,10 @@ class ClusterTest : public ::testing::Test {
 
 TEST_F(ClusterTest, ObliviousModeDividesJobsEqually) {
   Cluster cluster = make_cluster(4);
-  TorqueScheduler torque(dom_, cluster.node_pointers(), TorqueScheduler::Mode::Oblivious);
+  auto made = TorqueScheduler::create(dom_, cluster.node_pointers(),
+                                      mode_options(TorqueScheduler::Mode::Oblivious));
+  ASSERT_TRUE(made.has_value());
+  TorqueScheduler& torque = *made.value();
   std::atomic<int> done{0};
   for (int i = 0; i < 8; ++i) torque.submit(make_job(dom_, 2, 0.5, &done));
   const BatchResult result = torque.run_to_completion();
@@ -85,7 +94,10 @@ TEST_F(ClusterTest, ObliviousModeDividesJobsEqually) {
 
 TEST_F(ClusterTest, GpuAwareModeSerializesOnGpus) {
   Cluster cluster = make_cluster(1);
-  TorqueScheduler torque(dom_, cluster.node_pointers(), TorqueScheduler::Mode::GpuAware);
+  auto made = TorqueScheduler::create(dom_, cluster.node_pointers(),
+                                      mode_options(TorqueScheduler::Mode::GpuAware));
+  ASSERT_TRUE(made.has_value());
+  TorqueScheduler& torque = *made.value();
   std::atomic<int> done{0};
   // 8 jobs, 4 GPUs total: at most 4 run at once; each runs ~5ms of GPU.
   for (int i = 0; i < 8; ++i) torque.submit(make_job(dom_, 5, 0.0, &done));
@@ -101,7 +113,10 @@ TEST_F(ClusterTest, SharingBeatsSerializedForCpuHeavyJobs) {
   // outperforms serialized execution (1 vGPU) when jobs have CPU phases.
   const auto run = [&](int vgpus) {
     Cluster cluster = make_cluster(vgpus);
-    TorqueScheduler torque(dom_, cluster.node_pointers(), TorqueScheduler::Mode::Oblivious);
+    auto made = TorqueScheduler::create(dom_, cluster.node_pointers(),
+                                        mode_options(TorqueScheduler::Mode::Oblivious));
+    EXPECT_TRUE(made.has_value());
+    TorqueScheduler& torque = *made.value();
     for (int i = 0; i < 16; ++i) torque.submit(make_job(dom_, 4, 2.0, nullptr));
     return torque.run_to_completion().total_seconds;
   };
@@ -113,7 +128,10 @@ TEST_F(ClusterTest, SharingBeatsSerializedForCpuHeavyJobs) {
 TEST_F(ClusterTest, OffloadingRelievesTheOverloadedNode) {
   Cluster cluster = make_cluster(1, /*offload_threshold=*/1);
   cluster.enable_offloading();
-  TorqueScheduler torque(dom_, cluster.node_pointers(), TorqueScheduler::Mode::Oblivious);
+  auto made = TorqueScheduler::create(dom_, cluster.node_pointers(),
+                                      mode_options(TorqueScheduler::Mode::Oblivious));
+  ASSERT_TRUE(made.has_value());
+  TorqueScheduler& torque = *made.value();
   std::atomic<int> done{0};
   // 12 jobs split 6/6, but node-b has a single GPU (1 vGPU): it overloads
   // and sheds connections to node-a.
@@ -128,7 +146,10 @@ TEST_F(ClusterTest, OffloadingImprovesUnbalancedMakespan) {
   const auto run = [&](bool offload) {
     Cluster cluster = make_cluster(4, offload ? 2 : -1);
     if (offload) cluster.enable_offloading();
-    TorqueScheduler torque(dom_, cluster.node_pointers(), TorqueScheduler::Mode::Oblivious);
+    auto made = TorqueScheduler::create(dom_, cluster.node_pointers(),
+                                        mode_options(TorqueScheduler::Mode::Oblivious));
+    EXPECT_TRUE(made.has_value());
+    TorqueScheduler& torque = *made.value();
     for (int i = 0; i < 24; ++i) torque.submit(make_job(dom_, 6, 1.0, nullptr));
     return torque.run_to_completion().total_seconds;
   };
@@ -139,7 +160,10 @@ TEST_F(ClusterTest, OffloadingImprovesUnbalancedMakespan) {
 
 TEST_F(ClusterTest, JobResultsCarryPerJobTimes) {
   Cluster cluster = make_cluster(4);
-  TorqueScheduler torque(dom_, cluster.node_pointers(), TorqueScheduler::Mode::Oblivious);
+  auto made = TorqueScheduler::create(dom_, cluster.node_pointers(),
+                                      mode_options(TorqueScheduler::Mode::Oblivious));
+  ASSERT_TRUE(made.has_value());
+  TorqueScheduler& torque = *made.value();
   torque.submit(make_job(dom_, 1, 0.0, nullptr));
   torque.submit(make_job(dom_, 3, 0.0, nullptr));
   const BatchResult result = torque.run_to_completion();

@@ -164,7 +164,9 @@ TEST_F(ClusterLbTest, ProtocolV2PeersStayDispatchableWithoutLoadData) {
   TorqueScheduler::Options options;
   options.sched.dispatch_policy = "least_loaded";
   options.directory = dir;
-  TorqueScheduler torque(dom_, cluster.node_pointers(), std::move(options));
+  auto made = TorqueScheduler::create(dom_, cluster.node_pointers(), std::move(options));
+  ASSERT_TRUE(made.has_value());
+  TorqueScheduler& torque = *made.value();
   std::atomic<int> done{0};
   for (int i = 0; i < 6; ++i) torque.submit(make_job(dom_, 2, 0.2, &done));
   torque.run_to_completion();
@@ -186,12 +188,24 @@ TEST_F(ClusterLbTest, DispatchPolicyFactoryReportsTypedErrors) {
   EXPECT_EQ(make_dispatch_policy("no_such_policy").status(), Status::ErrorInvalidValue);
 }
 
+TEST_F(ClusterLbTest, UnknownDispatchPolicyRefusesBeforeAnyJobDispatches) {
+  // No silent round-robin fallback: a scheduler naming no built-in policy
+  // is never built, so no job can reach a node through it.
+  Cluster cluster = make_cluster(two_test_nodes(), 2);
+  TorqueScheduler::Options options;
+  options.sched.dispatch_policy = "no_such_policy";
+  auto made = TorqueScheduler::create(dom_, cluster.node_pointers(), std::move(options));
+  EXPECT_EQ(made.status(), Status::ErrorInvalidValue);
+  for (size_t n = 0; n < cluster.size(); ++n) {
+    EXPECT_EQ(cluster.node(n).runtime().stats().connections, 0u);
+  }
+}
+
 TEST_F(ClusterLbTest, OffloadHysteresisRefusesBelowWatermarks) {
-  // Watermarks flow from the unified scheduler config into the directory.
-  core::SchedulerConfig sched;
-  sched.offload_high_watermark = 1.0;
-  sched.offload_low_watermark = 0.5;
-  DirectoryConfig config = directory_config_from(sched);
+  // The directory owns the offload watermarks.
+  DirectoryConfig config;
+  config.high_watermark = 1.0;
+  config.low_watermark = 0.5;
   config.heartbeat_interval = fast_directory().heartbeat_interval;
   config.suspect_after_missed = fast_directory().suspect_after_missed;
   Cluster cluster = make_cluster(two_test_nodes(), 2);
@@ -237,7 +251,9 @@ TEST_F(ClusterLbTest, LeastLoadedBeatsRoundRobinOnHeterogeneousCluster) {
     // Dispatch slower than the heartbeat period so each placement is
     // visible to the next decision.
     options.sched.dispatch_interval_seconds = 0.001;
-    TorqueScheduler torque(dom_, cluster.node_pointers(), std::move(options));
+    auto made = TorqueScheduler::create(dom_, cluster.node_pointers(), std::move(options));
+    EXPECT_TRUE(made.has_value());
+    TorqueScheduler& torque = *made.value();
     std::atomic<int> done{0};
     for (int i = 0; i < 12; ++i) torque.submit(make_job(dom_, 8, 0.1, &done));
     const BatchResult result = torque.run_to_completion();
@@ -263,7 +279,9 @@ TEST_F(ClusterLbTest, MemoryAwareBestFitsTheFootprintHint) {
   TorqueScheduler::Options options;
   options.sched.dispatch_policy = "memory_aware";
   options.directory = cluster.directory();
-  TorqueScheduler torque(dom_, cluster.node_pointers(), std::move(options));
+  auto made = TorqueScheduler::create(dom_, cluster.node_pointers(), std::move(options));
+  ASSERT_TRUE(made.has_value());
+  TorqueScheduler& torque = *made.value();
   std::atomic<int> done{0};
   Job job = make_job(dom_, 1, 0.0, &done);
   job.mem_footprint_bytes = 1u << 20;  // exceeds node-b's device memory
@@ -293,7 +311,9 @@ TEST_F(ClusterLbTest, NodeBlackoutMidBatchStillCompletesEveryJob) {
   options.sched.dispatch_policy = "least_loaded";
   options.directory = patient.directory();
   options.sched.dispatch_interval_seconds = 0.002;
-  TorqueScheduler torque(dom_, patient.node_pointers(), std::move(options));
+  auto made = TorqueScheduler::create(dom_, patient.node_pointers(), std::move(options));
+  ASSERT_TRUE(made.has_value());
+  TorqueScheduler& torque = *made.value();
   std::atomic<int> done{0};
   for (int i = 0; i < 10; ++i) torque.submit(make_job(dom_, 3, 1.0, &done));
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "core/checkpoint.hpp"
 #include "core/frontend.hpp"
 #include "core/runtime.hpp"
 #include "sim/machine.hpp"
@@ -185,12 +184,12 @@ TEST(CrossNodeRestore, CheckpointMovesAJobBetweenNodes) {
   ASSERT_EQ(rt_a.launch_by_name(slot_a, "x_addone", {{1, 1, 1}, {32, 1, 1}}, prep.translated),
             Status::Ok);
 
-  auto image = serialize_context(mm_a, ctx);
+  auto image = mm_a.export_image(ctx);
   ASSERT_TRUE(image.has_value());
 
   // "Ship" the image to node B and resume there.
   mm_b.add_context(ctx);
-  ASSERT_EQ(restore_context(mm_b, ctx, image.value()), Status::Ok);
+  ASSERT_EQ(mm_b.import_image(ctx, image.value()), Status::Ok);
   auto prep_b = mm_b.prepare_launch(ctx, machine_b.all_gpus()[0], slot_b,
                                     {sim::KernelArg::dev(p.value())});
   ASSERT_EQ(prep_b.outcome, MemoryManager::PrepareOutcome::Ready);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -443,6 +444,92 @@ TEST(MigrationImage, RoundTripIntoFreshProcessWithDifferentIds) {
     ASSERT_TRUE(fresh.has_value());
     EXPECT_GE(fresh.value(), va + payload.size());
   }
+}
+
+// The shared decoder parses and checks a whole delta before it changes the
+// target: a truncated one applies nothing, not even its tombstones.
+
+TEST(MigrationDelta, TruncatedDeltaLeavesTheTargetUntouched) {
+  vt::Domain dom;
+  vt::AttachGuard guard(dom);
+  sim::SimMachine machine(dom, sim::SimParams{1});
+  machine.add_gpu(sim::test_gpu(1 << 20));
+  cudart::CudaRt rt(machine, cudart::CudaRtConfig{4 * 1024, 8});
+  MemoryManager source(rt);
+  MemoryManager target(rt);
+  const ContextId ctx{1};
+  source.add_context(ctx);
+  target.add_context(ctx);
+
+  const std::vector<std::byte> a_old(256, std::byte{0x11});
+  const std::vector<std::byte> b_bytes(512, std::byte{0x22});
+  auto a = source.on_malloc(ctx, a_old.size());
+  auto b = source.on_malloc(ctx, b_bytes.size());
+  ASSERT_TRUE(a && b);
+  ASSERT_EQ(source.on_copy_h2d(ctx, a.value(), a_old, std::nullopt), Status::Ok);
+  ASSERT_EQ(source.on_copy_h2d(ctx, b.value(), b_bytes, std::nullopt), Status::Ok);
+
+  // Round 0 ships both entries.
+  ASSERT_EQ(source.begin_migration(ctx), Status::Ok);
+  auto image = source.export_image(ctx);
+  ASSERT_TRUE(image.has_value());
+  ASSERT_EQ(target.import_image(ctx, image.value()), Status::Ok);
+
+  // The next delta carries B's tombstone and A's new bytes.
+  ASSERT_EQ(source.on_free(ctx, b.value()), Status::Ok);
+  const std::vector<std::byte> a_new(a_old.size(), std::byte{0x33});
+  ASSERT_EQ(source.on_copy_h2d(ctx, a.value(), a_new, std::nullopt), Status::Ok);
+  auto delta = source.collect_migration_delta(ctx);
+  ASSERT_TRUE(delta.has_value());
+  source.end_migration(ctx);
+
+  const auto holds = [&](VirtualPtr ptr, const std::vector<std::byte>& want) {
+    std::vector<std::byte> out(want.size());
+    return target.on_copy_d2h(ctx, out, ptr, out.size()) == Status::Ok && out == want;
+  };
+  for (size_t len = 0; len < delta.value().size(); ++len) {
+    const std::span<const u8> prefix(delta.value().data(), len);
+    ASSERT_EQ(target.apply_migration_delta(ctx, prefix), Status::ErrorProtocol) << len;
+    ASSERT_TRUE(holds(b.value(), b_bytes)) << len;
+    ASSERT_TRUE(holds(a.value(), a_old)) << len;
+  }
+
+  // The whole delta applies: B is gone and A holds its new bytes.
+  ASSERT_EQ(target.apply_migration_delta(ctx, delta.value()), Status::Ok);
+  EXPECT_TRUE(holds(a.value(), a_new));
+  EXPECT_EQ(target.mem_usage(ctx), a_old.size());
+}
+
+TEST(MigrationDelta, EntryLargerThanAnySwapAreaIsRejected) {
+  // A chunk from the wire naming an entry no vector can hold fails the
+  // decode; it must not end the daemon with an escaped exception.
+  vt::Domain dom;
+  vt::AttachGuard guard(dom);
+  sim::SimMachine machine(dom, sim::SimParams{1});
+  machine.add_gpu(sim::test_gpu(1 << 20));
+  cudart::CudaRt rt(machine, cudart::CudaRtConfig{4 * 1024, 8});
+  MemoryManager mm(rt);
+  const ContextId ctx{1};
+  mm.add_context(ctx);
+
+  // A real one-entry image, with the entry's size field rewritten.
+  MemoryManager source(rt);
+  source.add_context(ctx);
+  ASSERT_TRUE(source.on_malloc(ctx, 64).has_value());
+  auto image = source.export_image(ctx);
+  ASSERT_TRUE(image.has_value());
+  std::vector<u8> bytes = image.value();
+  const size_t size_at = 4 + 4 + 8 + 8 + 8;  // magic, version, 0 tombstones, count, vptr
+  ASSERT_GT(bytes.size(), size_at + sizeof(u64));
+  u64 size = 0;
+  std::memcpy(&size, bytes.data() + size_at, sizeof(size));
+  ASSERT_EQ(size, 64u);
+  size = u64{1} << 63;
+  std::memcpy(bytes.data() + size_at, &size, sizeof(size));
+
+  EXPECT_EQ(mm.apply_migration_delta(ctx, bytes), Status::ErrorProtocol);
+  EXPECT_EQ(mm.import_image(ctx, bytes), Status::ErrorCheckpointNotFound);
+  EXPECT_EQ(mm.mem_usage(ctx), 0u);
 }
 
 }  // namespace

@@ -40,8 +40,6 @@ TEST(ThrashGovernorTest, SwapStormEscalatesUntilCeiling) {
   config.quantum_seconds = 0.001;
   config.max_quantum_seconds = 0.008;
   config.thrash_bytes_per_bind = 1024.0;
-  config.quantum_escalation = 2.0;
-  config.calm_windows_before_decay = 2;
   core::ThrashGovernor governor(config);
   EXPECT_DOUBLE_EQ(governor.quantum_seconds(), 0.001);
 
@@ -63,8 +61,6 @@ TEST(ThrashGovernorTest, CalmWindowsDecayBackToBase) {
   config.quantum_seconds = 0.001;
   config.max_quantum_seconds = 0.008;
   config.thrash_bytes_per_bind = 1024.0;
-  config.quantum_escalation = 2.0;
-  config.calm_windows_before_decay = 2;
   core::ThrashGovernor governor(config);
   (void)governor.on_window(100 * 1024, 10);
   (void)governor.on_window(100 * 1024, 10);
