@@ -15,8 +15,6 @@
 // Flags: --out <path>  --jobs <n>  --kernels <n>  --quick
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -25,21 +23,18 @@
 #include "cluster/cluster.hpp"
 #include "cluster/dispatch_policy.hpp"
 #include "cluster/torque.hpp"
+#include "harness.hpp"
 
 namespace {
 
 using namespace gpuvm;
+using harness::die;
 
 // Skewed GPU counts per node: the whole point of load-aware placement.
 constexpr int kGpusPerNode[] = {4, 2, 1};
 constexpr int kVgpusPerDevice = 2;
 constexpr double kKernelFlops = 1e8;  // 1 ms on the 100-GFLOPS test GPU
 constexpr double kCpuMsBetweenKernels = 0.5;
-
-[[noreturn]] void die(const char* what) {
-  std::fprintf(stderr, "bench_cluster_lb: %s\n", what);
-  std::exit(1);
-}
 
 struct PolicyRun {
   double makespan_seconds = 0.0;
@@ -121,29 +116,15 @@ PolicyRun run_policy(const std::string& policy, int jobs, int kernels) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_cluster_lb.json";
   int jobs = 30;
   int kernels = 6;
-  for (int i = 1; i < argc; ++i) {
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) die("missing flag value");
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--out") == 0) {
-      out_path = next();
-    } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      jobs = std::atoi(next());
-      if (jobs <= 0) die("bad --jobs");
-    } else if (std::strcmp(argv[i], "--kernels") == 0) {
-      kernels = std::atoi(next());
-      if (kernels <= 0) die("bad --kernels");
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      jobs = 15;
-      kernels = 4;
-    } else {
-      die("unknown flag (expected --out/--jobs/--kernels/--quick)");
-    }
-  }
+  const std::string out = harness::parse_flags(
+      argc, argv, "bench_cluster_lb",
+      [&] {
+        jobs = 15;
+        kernels = 4;
+      },
+      {harness::count_flag("--jobs", &jobs), harness::count_flag("--kernels", &kernels)});
 
   struct Entry {
     const char* name;
@@ -162,24 +143,21 @@ int main(int argc, char** argv) {
 
   const double ratio = entries[1].run.makespan_seconds / entries[0].run.makespan_seconds;
 
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) die("cannot open --out file");
-  std::fprintf(f, "{\n  \"bench\": \"cluster_lb\",\n  \"jobs\": %d,\n  \"kernels_per_job\": %d,\n",
-               jobs, kernels);
-  std::fprintf(f, "  \"gpus_per_node\": [%d, %d, %d],\n  \"vgpus_per_device\": %d,\n",
-               kGpusPerNode[0], kGpusPerNode[1], kGpusPerNode[2], kVgpusPerDevice);
-  std::fprintf(f, "  \"policies\": {\n");
-  for (size_t m = 0; m < std::size(entries); ++m) {
-    const PolicyRun& r = entries[m].run;
-    std::fprintf(f,
-                 "    \"%s\": {\"makespan_seconds\": %.6f, \"avg_job_seconds\": %.6f, "
-                 "\"jobs_per_node\": [%d, %d, %d]}%s\n",
-                 entries[m].name, r.makespan_seconds, r.avg_job_seconds, r.jobs_per_node[0],
-                 r.jobs_per_node[1], r.jobs_per_node[2],
-                 m + 1 < std::size(entries) ? "," : "");
+  harness::Json json("cluster_lb");
+  json.num("jobs", jobs).num("kernels_per_job", kernels);
+  json.array("gpus_per_node", /*inline_=*/true);
+  for (const int gpus : kGpusPerNode) json.num(nullptr, gpus);
+  json.end().num("vgpus_per_device", kVgpusPerDevice).object("policies");
+  for (const Entry& e : entries) {
+    json.object(e.name, /*inline_=*/true)
+        .num("makespan_seconds", e.run.makespan_seconds, 6)
+        .num("avg_job_seconds", e.run.avg_job_seconds, 6)
+        .array("jobs_per_node");
+    for (const int n : e.run.jobs_per_node) json.num(nullptr, n);
+    json.end().end();
   }
-  std::fprintf(f, "  },\n  \"ll_over_rr_makespan\": %.4f\n}\n", ratio);
-  std::fclose(f);
-  std::printf("ll_over_rr_makespan=%.4f -> %s\n", ratio, out_path.c_str());
+  json.end().num("ll_over_rr_makespan", ratio, 4);
+  json.save(out);
+  std::printf("ll_over_rr_makespan=%.4f -> %s\n", ratio, out.c_str());
   return 0;
 }

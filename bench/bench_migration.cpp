@@ -28,19 +28,17 @@
 // Flags: --out <path>  --iters <n>  --quick  --paging
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/frontend.hpp"
-#include "core/runtime.hpp"
-#include "sim/machine.hpp"
+#include "harness.hpp"
 #include "transport/channel.hpp"
 
 namespace {
 
 using namespace gpuvm;
+using harness::die;
 
 constexpr u64 kDevBytes = 64ull << 20;  // roomy GPUs: no swap churn noise
 constexpr u64 kBufBytes = 8ull << 20;   // working-set buffer footprint
@@ -48,27 +46,6 @@ constexpr int kBuffers = 4;
 constexpr u64 kPopulated = (kBufBytes * 3) / 10;  // ~30% of each buffer is live
 constexpr u64 kOutBytes = 256 * 1024;   // kernel-dirtied output buffer
 constexpr u64 kPatchBytes = 64 * 1024;  // per-iteration host-side update
-
-sim::SimParams bench_params() {
-  sim::SimParams params;
-  params.execute_kernel_bodies = false;  // traffic + modeled time only
-  return params;
-}
-
-void register_kernel(sim::SimMachine& machine) {
-  sim::KernelDef touch;
-  touch.name = "touch";
-  touch.body = [](sim::KernelExecContext&) { return Status::Ok; };
-  touch.cost = [](const sim::LaunchConfig&, const std::vector<sim::KernelArg>&) {
-    return sim::KernelCost{1e7, 0.0};  // ~100us of modeled compute
-  };
-  machine.kernels().add(touch);
-}
-
-[[noreturn]] void die(const char* what) {
-  std::fprintf(stderr, "bench_migration: %s\n", what);
-  std::exit(1);
-}
 
 struct BenchResult {
   core::MigrationReport report;
@@ -79,18 +56,12 @@ struct BenchResult {
 BenchResult run_migration(int iters, bool paged) {
   vt::Domain dom;
   vt::AttachGuard guard(dom);
-  sim::SimMachine source_machine(dom, bench_params());
-  sim::SimMachine target_machine(dom, bench_params());
-  source_machine.add_gpu(sim::test_gpu(kDevBytes));
-  target_machine.add_gpu(sim::test_gpu(kDevBytes));
-  register_kernel(source_machine);
-  register_kernel(target_machine);
-  cudart::CudaRt source_rt(source_machine, cudart::CudaRtConfig{4 * 1024, 8});
-  cudart::CudaRt target_rt(target_machine, cudart::CudaRtConfig{4 * 1024, 8});
   core::RuntimeConfig config;
   config.paging = paged;
-  core::Runtime source(source_rt, config);
-  core::Runtime target(target_rt, config);
+  harness::Node source_node(dom, 1, kDevBytes, cudart::CudaRtConfig{4 * 1024, 8}, config);
+  harness::Node target_node(dom, 1, kDevBytes, cudart::CudaRtConfig{4 * 1024, 8}, config);
+  core::Runtime& source = source_node.runtime();
+  core::Runtime& target = target_node.runtime();
 
   std::atomic<bool> ready{false};
   std::atomic<int> done{0};
@@ -99,7 +70,7 @@ BenchResult run_migration(int iters, bool paged) {
     vt::Thread app(dom, [&] {
       core::FrontendApi api(source.connect());
       if (!api.connected()) die("handshake failed");
-      if (!ok(api.register_kernels({"touch"}))) die("register failed");
+      if (!ok(api.register_kernels({harness::kTouch}))) die("register failed");
       std::vector<VirtualPtr> inputs;
       std::vector<std::byte> live(kPopulated, std::byte{0x5a});
       for (int b = 0; b < kBuffers; ++b) {
@@ -119,7 +90,7 @@ BenchResult run_migration(int iters, bool paged) {
         const VirtualPtr in = inputs[static_cast<size_t>(i) % inputs.size()];
         const u64 off = (static_cast<u64>(i) * 8192) % (kPopulated - kPatchBytes);
         if (!ok(api.memcpy_h2d(in + off, patch))) die("patch failed");
-        if (!ok(api.launch("touch", {{64, 1, 1}, {256, 1, 1}},
+        if (!ok(api.launch(harness::kTouch, {{64, 1, 1}, {256, 1, 1}},
                            {sim::KernelArg::dev(in), sim::KernelArg::dev_out(out.value())}))) {
           die("launch failed");
         }
@@ -147,30 +118,21 @@ BenchResult run_migration(int iters, bool paged) {
   return result;
 }
 
+/// The per-phase counts both runs report, in the order of the result file.
+void report_phases(harness::Json& json, const BenchResult& r) {
+  const core::MigrationReport& rep = r.report;
+  json.num("image_bytes", rep.image_bytes).num("precopy_bytes", rep.precopy_bytes);
+  json.num("precopy_rounds", rep.precopy_rounds).num("stop_copy_bytes", rep.stop_copy_bytes);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_migration.json";
   int iters = 90;
   bool with_paging = false;
-  for (int i = 1; i < argc; ++i) {
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) die("missing flag value");
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--out") == 0) {
-      out_path = next();
-    } else if (std::strcmp(argv[i], "--iters") == 0) {
-      iters = std::atoi(next());
-      if (iters <= 0) die("bad --iters");
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      iters = 30;
-    } else if (std::strcmp(argv[i], "--paging") == 0) {
-      with_paging = true;
-    } else {
-      die("unknown flag (expected --out/--iters/--quick/--paging)");
-    }
-  }
+  const std::string out = harness::parse_flags(
+      argc, argv, "bench_migration", [&] { iters = 30; },
+      {harness::count_flag("--iters", &iters), harness::switch_flag("--paging", &with_paging)});
 
   const BenchResult r = run_migration(iters, false);
   const core::MigrationReport& rep = r.report;
@@ -189,21 +151,14 @@ int main(int argc, char** argv) {
   std::printf("stop_copy %.6fs of %.6fs migration (%d kernels ran through it)\n",
               rep.stop_copy_seconds, r.migration_seconds, r.iters_done);
 
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) die("cannot open --out file");
-  std::fprintf(f, "{\n  \"bench\": \"migration\",\n  \"iters\": %d,\n", iters);
-  std::fprintf(f, "  \"image_bytes\": %llu,\n  \"precopy_bytes\": %llu,\n",
-               static_cast<unsigned long long>(rep.image_bytes),
-               static_cast<unsigned long long>(rep.precopy_bytes));
-  std::fprintf(f, "  \"precopy_rounds\": %d,\n  \"stop_copy_bytes\": %llu,\n",
-               rep.precopy_rounds, static_cast<unsigned long long>(rep.stop_copy_bytes));
-  std::fprintf(f, "  \"naive_bytes\": %llu,\n  \"total_shipped_bytes\": %llu,\n",
-               static_cast<unsigned long long>(rep.naive_bytes),
-               static_cast<unsigned long long>(total));
-  std::fprintf(f, "  \"stop_copy_seconds\": %.6f,\n  \"migration_seconds\": %.6f,\n",
-               rep.stop_copy_seconds, r.migration_seconds);
-  std::fprintf(f, "  \"stop_copy_over_image\": %.4f,\n  \"total_over_naive\": %.4f",
-               stop_copy_over_image, total_over_naive);
+  harness::Json json("migration");
+  json.num("iters", iters);
+  report_phases(json, r);
+  json.num("naive_bytes", rep.naive_bytes).num("total_shipped_bytes", total);
+  json.num("stop_copy_seconds", rep.stop_copy_seconds, 6)
+      .num("migration_seconds", r.migration_seconds, 6);
+  json.num("stop_copy_over_image", stop_copy_over_image, 4)
+      .num("total_over_naive", total_over_naive, 4);
   if (with_paging) {
     const BenchResult p = run_migration(iters, true);
     const core::MigrationReport& prep = p.report;
@@ -211,18 +166,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(prep.image_bytes),
                 static_cast<unsigned long long>(prep.precopy_bytes),
                 static_cast<unsigned long long>(prep.stop_copy_bytes), p.migration_seconds);
-    std::fprintf(f,
-                 ",\n  \"paged\": {\"image_bytes\": %llu, \"precopy_bytes\": %llu, "
-                 "\"precopy_rounds\": %d, \"stop_copy_bytes\": %llu, "
-                 "\"stop_copy_seconds\": %.6f, \"migration_seconds\": %.6f}",
-                 static_cast<unsigned long long>(prep.image_bytes),
-                 static_cast<unsigned long long>(prep.precopy_bytes), prep.precopy_rounds,
-                 static_cast<unsigned long long>(prep.stop_copy_bytes), prep.stop_copy_seconds,
-                 p.migration_seconds);
+    json.object("paged", /*inline_=*/true);
+    report_phases(json, p);
+    json.num("stop_copy_seconds", prep.stop_copy_seconds, 6)
+        .num("migration_seconds", p.migration_seconds, 6)
+        .end();
   }
-  std::fprintf(f, "\n}\n");
-  std::fclose(f);
+  json.save(out);
   std::printf("stop_copy_over_image=%.4f total_over_naive=%.4f -> %s\n", stop_copy_over_image,
-              total_over_naive, out_path.c_str());
+              total_over_naive, out.c_str());
   return 0;
 }

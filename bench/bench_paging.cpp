@@ -30,18 +30,16 @@
 //
 // Flags: --out <path>  --iters <n>  --quick
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/frontend.hpp"
-#include "core/runtime.hpp"
-#include "sim/machine.hpp"
+#include "harness.hpp"
 
 namespace {
 
 using namespace gpuvm;
+using harness::die;
 
 constexpr u64 kDevBytes = 2ull << 20;   // 2 MiB GPU: every scenario oversubscribes
 constexpr u64 kBufBytes = 512 * 1024;   // input buffer footprint (fully populated)
@@ -49,39 +47,11 @@ constexpr u64 kPageBytes = 64 * 1024;   // paged engine page size == hinted slic
 constexpr u64 kOutBytes = 64 * 1024;    // annotated output buffer (one page)
 constexpr u64 kPatchBytes = 2 * 1024;   // per-cycle host-side update inside the slice
 
-sim::SimParams bench_params() {
-  sim::SimParams params;
-  params.execute_kernel_bodies = false;  // traffic + modeled time only
-  return params;
-}
-
-void register_kernel(sim::SimMachine& machine) {
-  sim::KernelDef touch;
-  touch.name = "touch";
-  touch.body = [](sim::KernelExecContext&) { return Status::Ok; };
-  // ~100us of compute: long enough to look like work, short enough that
-  // modeled time stays transfer-dominated (the thing being optimized).
-  touch.cost = [](const sim::LaunchConfig&, const std::vector<sim::KernelArg>&) {
-    return sim::KernelCost{1e7, 0.0};
-  };
-  machine.kernels().add(touch);
-}
-
-[[noreturn]] void die(const char* what) {
-  std::fprintf(stderr, "bench_paging: %s\n", what);
-  std::exit(1);
-}
-
 struct RunResult {
   double ops_per_sec = 0.0;
   double elapsed_seconds = 0.0;
   u64 bytes_moved = 0;  // swap_in + swap_out device traffic
-  u64 page_faults = 0;
-  u64 prefetched_pages = 0;
-  u64 prefetch_unused_pages = 0;
-  u64 page_evictions = 0;
-  u64 tlb_hits = 0;
-  u64 tlb_misses = 0;
+  core::MemStats mem;   // the paged engine's fault/TLB/prefetch counters
 };
 
 /// One tenant's sparse churn loop: cycle buffers, stride the hinted slice
@@ -91,7 +61,7 @@ struct RunResult {
 void tenant_loop(core::Runtime& runtime, vt::Domain& dom, int buffers, int iters, int tenant) {
   core::FrontendApi api(runtime.connect());
   if (!api.connected()) die("handshake failed");
-  if (!ok(api.register_kernels({"touch"}))) die("register failed");
+  if (!ok(api.register_kernels({harness::kTouch}))) die("register failed");
 
   std::vector<VirtualPtr> inputs;
   std::vector<std::byte> full(kBufBytes, std::byte{0x5a});
@@ -114,7 +84,7 @@ void tenant_loop(core::Runtime& runtime, vt::Domain& dom, int buffers, int iters
     const u64 slice = (static_cast<u64>(i) / inputs.size() + static_cast<u64>(tenant)) *
                       kPageBytes % (pages_per_buf * kPageBytes);
     if (!ok(api.memcpy_h2d(in + slice, patch))) die("patch failed");
-    if (!ok(api.launch("touch", {{64, 1, 1}, {256, 1, 1}},
+    if (!ok(api.launch(harness::kTouch, {{64, 1, 1}, {256, 1, 1}},
                        {sim::KernelArg::dev(in), sim::KernelArg::dev_out(out.value()),
                         sim::KernelArg::access_hint(0, slice, kPageBytes),
                         sim::KernelArg::access_hint(1, 0, kOutBytes, /*written=*/true)}))) {
@@ -125,69 +95,31 @@ void tenant_loop(core::Runtime& runtime, vt::Domain& dom, int buffers, int iters
 }
 
 RunResult run_scenario(bool paged, int tenants, int buffers_per_tenant, int iters) {
-  vt::Domain dom;
-  vt::AttachGuard guard(dom);
-  sim::SimMachine machine(dom, bench_params());
-  machine.add_gpu(sim::test_gpu(kDevBytes));
-  register_kernel(machine);
-  cudart::CudaRt rt(machine, cudart::CudaRtConfig{4 * 1024, 16});
   core::RuntimeConfig config;
   config.paging = paged;
   config.page_bytes = kPageBytes;
   config.eviction_policy = "page-lru";
   config.prefetch_policy = "stride";
   config.scheduler.vgpus_per_device = tenants > 1 ? tenants : 1;
-  core::Runtime runtime(rt, config);
+  harness::TenantEnv env(1, kDevBytes, cudart::CudaRtConfig{4 * 1024, 16}, config);
 
-  vt::StopWatch watch(dom);
-  {
-    dom.hold();
-    std::vector<vt::Thread> apps;
-    for (int t = 0; t < tenants; ++t) {
-      apps.emplace_back(dom, [&runtime, &dom, buffers_per_tenant, iters, t] {
-        tenant_loop(runtime, dom, buffers_per_tenant, iters, t);
-      });
-    }
-    dom.unhold();
-  }
-  runtime.drain();
-
-  const core::MemStats ms = runtime.memory().stats();
   RunResult result;
-  result.elapsed_seconds = watch.elapsed_seconds();
+  result.elapsed_seconds = env.run_tenants(tenants, [&](int t) {
+    tenant_loop(env.runtime(), env.dom(), buffers_per_tenant, iters, t);
+  });
+  result.mem = env.runtime().memory().stats();
   result.ops_per_sec =
       static_cast<double>(tenants) * iters / std::max(result.elapsed_seconds, 1e-12);
-  result.bytes_moved = ms.swap_in_bytes + ms.swap_out_bytes;
-  result.page_faults = ms.page_faults;
-  result.prefetched_pages = ms.prefetched_pages;
-  result.prefetch_unused_pages = ms.prefetch_unused_pages;
-  result.page_evictions = ms.page_evictions;
-  result.tlb_hits = ms.tlb_hits;
-  result.tlb_misses = ms.tlb_misses;
+  result.bytes_moved = result.mem.swap_in_bytes + result.mem.swap_out_bytes;
   return result;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_paging.json";
   int iters = 60;
-  for (int i = 1; i < argc; ++i) {
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) die("missing flag value");
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--out") == 0) {
-      out_path = next();
-    } else if (std::strcmp(argv[i], "--iters") == 0) {
-      iters = std::atoi(next());
-      if (iters <= 0) die("bad --iters");
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      iters = 16;
-    } else {
-      die("unknown flag (expected --out/--iters/--quick)");
-    }
-  }
+  const std::string out = harness::parse_flags(
+      argc, argv, "bench_paging", [&] { iters = 16; }, {harness::count_flag("--iters", &iters)});
 
   struct Scenario {
     const char* name;
@@ -199,68 +131,56 @@ int main(int argc, char** argv) {
       {"multi_tenant", 4, 3},   // 6 MiB across tenants, inter-app churn
   };
 
-  RunResult entry[2];
-  RunResult paged[2];
+  const char* const engines[] = {"entry", "paged"};
+  RunResult runs[2][2];  // [scenario][engine]
   for (size_t s = 0; s < 2; ++s) {
-    entry[s] = run_scenario(false, scenarios[s].tenants, scenarios[s].buffers_per_tenant, iters);
-    paged[s] = run_scenario(true, scenarios[s].tenants, scenarios[s].buffers_per_tenant, iters);
-    for (const auto* r : {&entry[s], &paged[s]}) {
+    for (size_t e = 0; e < 2; ++e) {
+      RunResult& r = runs[s][e];
+      r = run_scenario(/*paged=*/e == 1, scenarios[s].tenants, scenarios[s].buffers_per_tenant,
+                       iters);
       std::printf(
           "%-14s %-6s bytes=%10llu faults=%6llu prefetch=%6llu ops/sec=%9.1f modeled_s=%.4f\n",
-          scenarios[s].name, r == &entry[s] ? "entry" : "paged",
-          static_cast<unsigned long long>(r->bytes_moved),
-          static_cast<unsigned long long>(r->page_faults),
-          static_cast<unsigned long long>(r->prefetched_pages), r->ops_per_sec,
-          r->elapsed_seconds);
+          scenarios[s].name, engines[e], static_cast<unsigned long long>(r.bytes_moved),
+          static_cast<unsigned long long>(r.mem.page_faults),
+          static_cast<unsigned long long>(r.mem.prefetched_pages), r.ops_per_sec,
+          r.elapsed_seconds);
     }
   }
 
-  const u64 entry_bytes = entry[0].bytes_moved + entry[1].bytes_moved;
-  const u64 paged_bytes = paged[0].bytes_moved + paged[1].bytes_moved;
+  const u64 entry_bytes = runs[0][0].bytes_moved + runs[1][0].bytes_moved;
+  const u64 paged_bytes = runs[0][1].bytes_moved + runs[1][1].bytes_moved;
   const double bytes_ratio =
       static_cast<double>(paged_bytes) / static_cast<double>(std::max<u64>(entry_bytes, 1));
   // Speedup on the heavier multi-tenant scenario; per-scenario ops are in
   // the JSON anyway.
-  const double ops_speedup = paged[1].ops_per_sec / std::max(entry[1].ops_per_sec, 1e-12);
-  const u64 walks = paged[0].tlb_hits + paged[0].tlb_misses + paged[1].tlb_hits +
-                    paged[1].tlb_misses;
+  const double ops_speedup = runs[1][1].ops_per_sec / std::max(runs[1][0].ops_per_sec, 1e-12);
+  const u64 tlb_hits = runs[0][1].mem.tlb_hits + runs[1][1].mem.tlb_hits;
+  const u64 walks = tlb_hits + runs[0][1].mem.tlb_misses + runs[1][1].mem.tlb_misses;
   const double tlb_hit_rate =
-      static_cast<double>(paged[0].tlb_hits + paged[1].tlb_hits) /
-      static_cast<double>(std::max<u64>(walks, 1));
+      static_cast<double>(tlb_hits) / static_cast<double>(std::max<u64>(walks, 1));
 
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) die("cannot open --out file");
-  std::fprintf(f, "{\n  \"bench\": \"paging\",\n  \"iters_per_tenant\": %d,\n", iters);
-  std::fprintf(f, "  \"page_bytes\": %llu,\n", static_cast<unsigned long long>(kPageBytes));
-  std::fprintf(f, "  \"scenarios\": {\n");
+  harness::Json json("paging");
+  json.num("iters_per_tenant", iters).num("page_bytes", kPageBytes).object("scenarios");
   for (size_t s = 0; s < 2; ++s) {
-    std::fprintf(f, "    \"%s\": {\n", scenarios[s].name);
-    const struct {
-      const char* name;
-      const RunResult* r;
-    } rows[] = {{"entry", &entry[s]}, {"paged", &paged[s]}};
-    for (size_t m = 0; m < 2; ++m) {
-      const RunResult& r = *rows[m].r;
-      std::fprintf(f,
-                   "      \"%s\": {\"bytes_moved\": %llu, \"ops_per_sec\": %.1f, "
-                   "\"modeled_seconds\": %.6f, \"page_faults\": %llu, "
-                   "\"prefetched_pages\": %llu, \"prefetch_unused_pages\": %llu, "
-                   "\"page_evictions\": %llu, \"tlb_hits\": %llu, \"tlb_misses\": %llu}%s\n",
-                   rows[m].name, static_cast<unsigned long long>(r.bytes_moved), r.ops_per_sec,
-                   r.elapsed_seconds, static_cast<unsigned long long>(r.page_faults),
-                   static_cast<unsigned long long>(r.prefetched_pages),
-                   static_cast<unsigned long long>(r.prefetch_unused_pages),
-                   static_cast<unsigned long long>(r.page_evictions),
-                   static_cast<unsigned long long>(r.tlb_hits),
-                   static_cast<unsigned long long>(r.tlb_misses), m == 0 ? "," : "");
+    json.object(scenarios[s].name);
+    for (size_t e = 0; e < 2; ++e) {
+      const RunResult& r = runs[s][e];
+      json.object(engines[e], /*inline_=*/true)
+          .num("bytes_moved", r.bytes_moved).num("ops_per_sec", r.ops_per_sec, 1)
+          .num("modeled_seconds", r.elapsed_seconds, 6).num("page_faults", r.mem.page_faults)
+          .num("prefetched_pages", r.mem.prefetched_pages)
+          .num("prefetch_unused_pages", r.mem.prefetch_unused_pages)
+          .num("page_evictions", r.mem.page_evictions).num("tlb_hits", r.mem.tlb_hits)
+          .num("tlb_misses", r.mem.tlb_misses)
+          .end();
     }
-    std::fprintf(f, "    }%s\n", s == 0 ? "," : "");
+    json.end();
   }
-  std::fprintf(f, "  },\n  \"tlb_hit_rate\": %.4f,\n", tlb_hit_rate);
-  std::fprintf(f, "  \"bytes_ratio\": %.4f,\n  \"ops_speedup\": %.3f\n}\n", bytes_ratio,
-               ops_speedup);
-  std::fclose(f);
+  json.end()
+      .num("tlb_hit_rate", tlb_hit_rate, 4).num("bytes_ratio", bytes_ratio, 4)
+      .num("ops_speedup", ops_speedup, 3);
+  json.save(out);
   std::printf("bytes_ratio=%.4f ops_speedup=%.3f tlb_hit_rate=%.4f -> %s\n", bytes_ratio,
-              ops_speedup, tlb_hit_rate, out_path.c_str());
+              ops_speedup, tlb_hit_rate, out.c_str());
   return 0;
 }

@@ -39,20 +39,16 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/frontend.hpp"
-#include "obs/trace.hpp"
-#include "core/runtime.hpp"
-#include "sim/machine.hpp"
+#include "harness.hpp"
 
 namespace {
 
 using namespace gpuvm;
+using harness::die;
 
 constexpr u64 kDevBytes = 2ull << 20;          // 2 MiB device
 constexpr u64 kBatchBytes = 1408 * 1024;       // 1.375 MiB per batch tenant
@@ -63,35 +59,7 @@ constexpr double kThinkTimeUs = 497.0;         // interactive inter-burst sleep
 // working-set swap time (~0.3 s to materialize one batch buffer).
 constexpr double kQuantumSeconds = 0.4993;
 constexpr double kMaxQuantumSeconds = 3.9946;
-
-sim::SimParams bench_params() {
-  sim::SimParams params;
-  params.execute_kernel_bodies = false;  // traffic + modeled time only
-  return params;
-}
-
-void register_kernels(sim::SimMachine& machine) {
-  sim::KernelDef crunch;
-  crunch.name = "crunch";  // 1e7 flops: 100us on the 100-GFLOPS test GPU
-  crunch.body = [](sim::KernelExecContext&) { return Status::Ok; };
-  crunch.cost = [](const sim::LaunchConfig&, const std::vector<sim::KernelArg>&) {
-    return sim::KernelCost{1e7, 0.0};
-  };
-  machine.kernels().add(crunch);
-
-  sim::KernelDef poke;
-  poke.name = "poke";  // 1e6 flops: 10us -- the interactive burst
-  poke.body = [](sim::KernelExecContext&) { return Status::Ok; };
-  poke.cost = [](const sim::LaunchConfig&, const std::vector<sim::KernelArg>&) {
-    return sim::KernelCost{1e6, 0.0};
-  };
-  machine.kernels().add(poke);
-}
-
-[[noreturn]] void die(const char* what) {
-  std::fprintf(stderr, "bench_preempt: %s\n", what);
-  std::exit(1);
-}
+constexpr double kPokeFlops = 1e6;             // 10us: the interactive burst
 
 struct MixResult {
   double makespan_seconds = 0.0;
@@ -107,13 +75,13 @@ struct MixResult {
 void batch_tenant(core::Runtime& runtime, vt::Domain& dom, int iters, int tenant) {
   core::FrontendApi api(runtime.connect());
   if (!api.connected()) die("handshake failed");
-  if (!ok(api.register_kernels({"crunch"}))) die("register failed");
+  if (!ok(api.register_kernels({harness::kTouch}))) die("register failed");
   auto buf = api.malloc(kBatchBytes);
   if (!buf) die("batch malloc failed");
   std::vector<std::byte> init(kBatchBytes, std::byte{0x6b});
   if (!ok(api.memcpy_h2d(buf.value(), init))) die("init copy failed");
   for (int i = 0; i < iters; ++i) {
-    if (!ok(api.launch("crunch", {{64, 1, 1}, {256, 1, 1}},
+    if (!ok(api.launch(harness::kTouch, {{64, 1, 1}, {256, 1, 1}},
                        {sim::KernelArg::dev_out(buf.value())}))) {
       die("batch launch failed");
     }
@@ -153,19 +121,9 @@ double percentile(std::vector<double> values, double q) {
 }
 
 MixResult run_mix(const std::string& policy, double quantum_seconds, int iters) {
-  vt::Domain dom;
-  vt::AttachGuard guard(dom);
-  std::unique_ptr<obs::TraceRecorder> rec;
-  std::optional<obs::ScopedTracer> scoped;
   const char* trace_path = std::getenv("BENCH_PREEMPT_TRACE");
-  if (trace_path != nullptr && policy == "tq" && quantum_seconds == kQuantumSeconds) {
-    rec = std::make_unique<obs::TraceRecorder>(dom);
-    scoped.emplace(*rec);
-  }
-  sim::SimMachine machine(dom, bench_params());
-  machine.add_gpu(sim::test_gpu(kDevBytes));
-  register_kernels(machine);
-  cudart::CudaRt rt(machine, cudart::CudaRtConfig{4 * 1024, 16});
+  const bool traced =
+      trace_path != nullptr && policy == "tq" && quantum_seconds == kQuantumSeconds;
   core::RuntimeConfig config;
   config.scheduler.vgpus_per_device = kBatchTenants + 1;
   config.scheduler.policy = policy;
@@ -173,34 +131,25 @@ MixResult run_mix(const std::string& policy, double quantum_seconds, int iters) 
     config.scheduler.quantum_seconds = quantum_seconds;
     config.scheduler.max_quantum_seconds = kMaxQuantumSeconds;
   }
-  core::Runtime runtime(rt, config);
+  harness::TenantEnv env(1, kDevBytes, cudart::CudaRtConfig{4 * 1024, 16}, config, traced);
+  harness::add_kernel(env.machine(), "poke", kPokeFlops);
 
   std::vector<double> latencies_ms;
-  vt::StopWatch watch(dom);
-  {
-    dom.hold();
-    std::vector<vt::Thread> apps;
-    for (int t = 0; t < kBatchTenants; ++t) {
-      apps.emplace_back(dom, [&runtime, &dom, iters, t] {
-        batch_tenant(runtime, dom, iters, t);
-      });
+  MixResult result;
+  result.makespan_seconds = env.run_tenants(kBatchTenants + 1, [&](int t) {
+    if (t < kBatchTenants) {
+      batch_tenant(env.runtime(), env.dom(), iters, t);
+    } else {
+      interactive_tenant(env.runtime(), env.dom(), std::max(8, iters / 2), &latencies_ms);
     }
-    const int bursts = std::max(8, iters / 2);
-    apps.emplace_back(dom, [&runtime, &dom, bursts, &latencies_ms] {
-      interactive_tenant(runtime, dom, bursts, &latencies_ms);
-    });
-    dom.unhold();
-  }
-  runtime.drain();
-  if (rec != nullptr) {
-    rec->export_chrome_json_file(trace_path);
+  });
+  if (traced) {
+    env.recorder()->export_chrome_json_file(trace_path);
     std::printf("trace written to %s\n", trace_path);
   }
 
-  const core::MemStats ms = runtime.memory().stats();
-  const core::SchedulerStats ss = runtime.scheduler().stats();
-  MixResult result;
-  result.makespan_seconds = watch.elapsed_seconds();
+  const core::MemStats ms = env.runtime().memory().stats();
+  const core::SchedulerStats ss = env.runtime().scheduler().stats();
   result.interactive_p50_ms = percentile(latencies_ms, 0.50);
   result.interactive_p99_ms = percentile(latencies_ms, 0.99);
   result.swap_bytes = ms.swap_in_bytes + ms.swap_out_bytes;
@@ -218,38 +167,22 @@ void print_row(const char* label, const MixResult& r) {
               static_cast<unsigned long long>(r.thrash_trips));
 }
 
-void emit_json_entry(FILE* f, const char* indent, const MixResult& r, bool trailing_comma) {
-  std::fprintf(f,
-               "%s\"makespan_seconds\": %.6f, \"interactive_p50_ms\": %.6f, "
-               "\"interactive_p99_ms\": %.6f, \"swap_bytes\": %llu, "
-               "\"preemptions\": %llu, \"thrash_trips\": %llu%s\n",
-               indent, r.makespan_seconds, r.interactive_p50_ms, r.interactive_p99_ms,
-               static_cast<unsigned long long>(r.swap_bytes),
-               static_cast<unsigned long long>(r.preemptions),
-               static_cast<unsigned long long>(r.thrash_trips), trailing_comma ? "," : "");
+/// One policy run's members, into the object the caller opened.
+void mix_json(harness::Json& json, const MixResult& r) {
+  json.num("makespan_seconds", r.makespan_seconds, 6)
+      .num("interactive_p50_ms", r.interactive_p50_ms, 6)
+      .num("interactive_p99_ms", r.interactive_p99_ms, 6)
+      .num("swap_bytes", r.swap_bytes)
+      .num("preemptions", r.preemptions)
+      .num("thrash_trips", r.thrash_trips);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_preempt.json";
   int iters = 1600;
-  for (int i = 1; i < argc; ++i) {
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) die("missing flag value");
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--out") == 0) {
-      out_path = next();
-    } else if (std::strcmp(argv[i], "--iters") == 0) {
-      iters = std::atoi(next());
-      if (iters <= 0) die("bad --iters");
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      iters = 800;
-    } else {
-      die("unknown flag (expected --out/--iters/--quick)");
-    }
-  }
+  const std::string out = harness::parse_flags(
+      argc, argv, "bench_preempt", [&] { iters = 800; }, {harness::count_flag("--iters", &iters)});
 
   // Baseline and headline comparison at the swap-time-sized quantum.
   const MixResult fcfs = run_mix("fcfs", 0.0, iters);
@@ -278,30 +211,25 @@ int main(int argc, char** argv) {
   std::printf("makespan ratio (tq/fcfs) %.4f | interactive p99 ratio %.4f\n", makespan_ratio,
               p99_ratio);
 
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) die("cannot open --out file");
-  std::fprintf(f, "{\n  \"bench\": \"preempt\",\n  \"batch_tenants\": %d,\n", kBatchTenants);
-  std::fprintf(f, "  \"batch_iters\": %d,\n  \"device_bytes\": %llu,\n", iters,
-               static_cast<unsigned long long>(kDevBytes));
-  std::fprintf(f, "  \"batch_working_set_bytes\": %llu,\n",
-               static_cast<unsigned long long>(kBatchBytes));
-  std::fprintf(f, "  \"quantum_us\": %.0f,\n  \"max_quantum_us\": %.0f,\n",
-               kQuantumSeconds * 1e6, kMaxQuantumSeconds * 1e6);
-  std::fprintf(f, "  \"fcfs\": {\n");
-  emit_json_entry(f, "    ", fcfs, false);
-  std::fprintf(f, "  },\n  \"tq\": {\n");
-  emit_json_entry(f, "    ", tq, false);
-  std::fprintf(f, "  },\n  \"fair\": {\n");
-  emit_json_entry(f, "    ", fair, false);
-  std::fprintf(f, "  },\n  \"quantum_sweep\": [\n");
-  for (size_t q = 0; q < 3; ++q) {
-    std::fprintf(f, "    {\"quantum_us\": %.0f,\n", sweep_us[q]);
-    emit_json_entry(f, "     ", sweep[q], false);
-    std::fprintf(f, "    }%s\n", q + 1 < 3 ? "," : "");
+  harness::Json json("preempt");
+  json.num("batch_tenants", kBatchTenants).num("batch_iters", iters);
+  json.num("device_bytes", kDevBytes).num("batch_working_set_bytes", kBatchBytes);
+  json.num("quantum_us", kQuantumSeconds * 1e6, 0)
+      .num("max_quantum_us", kMaxQuantumSeconds * 1e6, 0);
+  for (const auto& [name, r] : {std::pair{"fcfs", &fcfs}, {"tq", &tq}, {"fair", &fair}}) {
+    json.object(name);
+    mix_json(json, *r);
+    json.end();
   }
-  std::fprintf(f, "  ],\n  \"makespan_ratio\": %.6f,\n", makespan_ratio);
-  std::fprintf(f, "  \"interactive_p99_ratio\": %.6f\n}\n", p99_ratio);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
+  json.array("quantum_sweep");
+  for (size_t q = 0; q < 3; ++q) {
+    json.object(nullptr, /*inline_=*/true).num("quantum_us", sweep_us[q], 0);
+    mix_json(json, sweep[q]);
+    json.end();
+  }
+  json.end();
+  json.num("makespan_ratio", makespan_ratio, 6).num("interactive_p99_ratio", p99_ratio, 6);
+  json.save(out);
+  std::printf("wrote %s\n", out.c_str());
   return 0;
 }

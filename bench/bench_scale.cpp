@@ -27,8 +27,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -37,16 +35,13 @@
 
 #include "common/task.hpp"
 #include "common/vt.hpp"
+#include "harness.hpp"
 #include "workloads/loadgen.hpp"
 
 namespace {
 
 using namespace gpuvm;
-
-[[noreturn]] void die(const char* what) {
-  std::fprintf(stderr, "bench_scale: %s\n", what);
-  std::exit(1);
-}
+using harness::die;
 
 struct Mix {
   const char* name;
@@ -288,31 +283,21 @@ void print_result(const char* mix, const char* driver, const DriveResult& r) {
       static_cast<unsigned long long>(r.sleepers_peak));
 }
 
-void emit_result_json(FILE* f, const char* key, const DriveResult& r, const char* trailer) {
-  std::fprintf(f,
-               "    \"%s\": {\"jobs\": %llu, \"events\": %llu, \"makespan_seconds\": %.9f, "
-               "\"wall_seconds\": %.4f, \"events_per_sec\": %.0f, \"clock_advances\": %llu, "
-               "\"sleepers_peak\": %llu}%s\n",
-               key, static_cast<unsigned long long>(r.jobs),
-               static_cast<unsigned long long>(r.events), r.makespan_seconds, r.wall_seconds,
-               r.events_per_sec, static_cast<unsigned long long>(r.clock_advances),
-               static_cast<unsigned long long>(r.sleepers_peak), trailer);
+/// One driver's result as an inline object.
+void result_json(harness::Json& json, const char* key, const DriveResult& r) {
+  json.object(key, /*inline_=*/true)
+      .num("jobs", r.jobs).num("events", r.events).num("makespan_seconds", r.makespan_seconds, 9)
+      .num("wall_seconds", r.wall_seconds, 4).num("events_per_sec", r.events_per_sec, 0)
+      .num("clock_advances", r.clock_advances).num("sleepers_peak", r.sleepers_peak)
+      .end();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_scale.json";
   bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) die("missing flag value");
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--out") == 0) out_path = next();
-    else if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    else die("unknown flag (expected --out/--quick)");
-  }
+  const std::string out =
+      harness::parse_flags(argc, argv, "bench_scale", [&] { quick = true; }, {});
 
   // Quick mix: small enough that the thread-per-actor baseline is feasible
   // (320 OS threads, ~115k events); both drivers run and must agree.
@@ -370,31 +355,27 @@ int main(int argc, char** argv) {
     }
   }
 
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) die("cannot open --out file");
-  std::fprintf(f, "{\n  \"bench\": \"scale\",\n  \"quick\": {\n");
-  std::fprintf(f, "    \"nodes\": %d, \"gpus_total\": %d, \"tenants\": %d,\n", quick_mix.nodes,
-               quick_mix.nodes * quick_mix.gpus_per_node, quick_mix.tenants);
-  emit_result_json(f, "threaded", threaded, ",");
-  emit_result_json(f, "task", task, ",");
-  std::fprintf(f, "    \"agreement\": %s,\n    \"speedup\": %.2f\n  },\n",
-               agree ? "true" : "false", speedup);
-  std::fprintf(f, "  \"sweep\": [\n");
+  harness::Json json("scale");
+  json.object("quick")
+      .num("nodes", quick_mix.nodes).num("gpus_total", quick_mix.nodes * quick_mix.gpus_per_node)
+      .num("tenants", quick_mix.tenants);
+  result_json(json, "threaded", threaded);
+  result_json(json, "task", task);
+  json.boolean("agreement", agree).num("speedup", speedup, 2).end();
+  json.array("sweep");
   for (size_t i = 0; i < sweep_results.size(); ++i) {
     const Mix& mix = sweep_mixes[i];
     const DriveResult& r = sweep_results[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"nodes\": %d, \"gpus_total\": %d, \"tenants\": %d, "
-                 "\"diurnal_amplitude\": %.2f, \"jobs\": %llu, \"events\": %llu, "
-                 "\"makespan_seconds\": %.6f, \"wall_seconds\": %.4f, "
-                 "\"events_per_sec\": %.0f}%s\n",
-                 mix.name, mix.nodes, mix.nodes * mix.gpus_per_node, mix.tenants,
-                 mix.diurnal_amplitude, static_cast<unsigned long long>(r.jobs),
-                 static_cast<unsigned long long>(r.events), r.makespan_seconds, r.wall_seconds,
-                 r.events_per_sec, i + 1 < sweep_results.size() ? "," : "");
+    json.object(nullptr, /*inline_=*/true)
+        .str("name", mix.name).num("nodes", mix.nodes)
+        .num("gpus_total", mix.nodes * mix.gpus_per_node).num("tenants", mix.tenants)
+        .num("diurnal_amplitude", mix.diurnal_amplitude, 2).num("jobs", r.jobs)
+        .num("events", r.events).num("makespan_seconds", r.makespan_seconds, 6)
+        .num("wall_seconds", r.wall_seconds, 4).num("events_per_sec", r.events_per_sec, 0)
+        .end();
   }
-  std::fprintf(f, "  ],\n  \"headline_events_per_sec\": %.0f\n}\n", headline);
-  std::fclose(f);
-  std::printf("headline events/sec=%.0f -> %s\n", headline, out_path.c_str());
+  json.end().num("headline_events_per_sec", headline, 0);
+  json.save(out);
+  std::printf("headline events/sec=%.0f -> %s\n", headline, out.c_str());
   return agree ? 0 : 1;
 }

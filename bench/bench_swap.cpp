@@ -32,54 +32,27 @@
 //
 // Flags: --out <path>  --iters <n>  --quick  --paging
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/frontend.hpp"
-#include "core/runtime.hpp"
-#include "sim/machine.hpp"
+#include "harness.hpp"
 
 namespace {
 
 using namespace gpuvm;
+using harness::die;
 
 constexpr u64 kDevBytes = 2ull << 20;   // 2 MiB GPU: every scenario oversubscribes
 constexpr u64 kBufBytes = 768 * 1024;   // input buffer footprint
 constexpr u64 kOutBytes = 64 * 1024;    // annotated output buffer
 constexpr u64 kPatchBytes = 2 * 1024;   // per-cycle host-side sparse update
 
-sim::SimParams bench_params() {
-  sim::SimParams params;
-  params.execute_kernel_bodies = false;  // traffic + modeled time only
-  return params;
-}
-
-void register_kernel(sim::SimMachine& machine) {
-  sim::KernelDef touch;
-  touch.name = "touch";
-  touch.body = [](sim::KernelExecContext&) { return Status::Ok; };
-  // ~100us of compute: long enough to look like work, short enough that
-  // modeled time stays transfer-dominated (the thing being optimized).
-  touch.cost = [](const sim::LaunchConfig&, const std::vector<sim::KernelArg>&) {
-    return sim::KernelCost{1e7, 0.0};
-  };
-  machine.kernels().add(touch);
-}
-
-[[noreturn]] void die(const char* what) {
-  std::fprintf(stderr, "bench_swap: %s\n", what);
-  std::exit(1);
-}
-
 struct RunResult {
   double ops_per_sec = 0.0;
   double elapsed_seconds = 0.0;
   u64 bytes_moved = 0;  // swap_in + swap_out device traffic
-  u64 swap_ops = 0;     // evicted entries
-  u64 dirty_bytes_saved = 0;
-  u64 clean_swap_skips = 0;
+  core::MemStats mem;   // swapped_entries counts evicted entries
 };
 
 /// One tenant's churn loop: cycle buffers, patch a sparse range host-side,
@@ -87,7 +60,7 @@ struct RunResult {
 void tenant_loop(core::Runtime& runtime, vt::Domain& dom, int buffers, int iters, int tenant) {
   core::FrontendApi api(runtime.connect());
   if (!api.connected()) die("handshake failed");
-  if (!ok(api.register_kernels({"touch"}))) die("register failed");
+  if (!ok(api.register_kernels({harness::kTouch}))) die("register failed");
 
   std::vector<VirtualPtr> inputs;
   std::vector<std::byte> half(kBufBytes / 2, std::byte{0x5a});
@@ -108,7 +81,7 @@ void tenant_loop(core::Runtime& runtime, vt::Domain& dom, int buffers, int iters
     const u64 off = (static_cast<u64>(i) * 4096 + static_cast<u64>(tenant) * 512) %
                     (kBufBytes / 2 - kPatchBytes);
     if (!ok(api.memcpy_h2d(in + off, patch))) die("patch failed");
-    if (!ok(api.launch("touch", {{64, 1, 1}, {256, 1, 1}},
+    if (!ok(api.launch(harness::kTouch, {{64, 1, 1}, {256, 1, 1}},
                        {sim::KernelArg::dev(in), sim::KernelArg::dev_out(out.value())}))) {
       die("launch failed");
     }
@@ -118,67 +91,31 @@ void tenant_loop(core::Runtime& runtime, vt::Domain& dom, int buffers, int iters
 
 RunResult run_scenario(bool incremental, bool paged, int tenants, int buffers_per_tenant,
                        int iters) {
-  vt::Domain dom;
-  vt::AttachGuard guard(dom);
-  sim::SimMachine machine(dom, bench_params());
-  machine.add_gpu(sim::test_gpu(kDevBytes));
-  register_kernel(machine);
-  cudart::CudaRt rt(machine, cudart::CudaRtConfig{4 * 1024, 16});
   core::RuntimeConfig config;
   config.incremental_swap = incremental;
   config.paging = paged;
   config.scheduler.vgpus_per_device = tenants > 1 ? tenants : 1;
-  core::Runtime runtime(rt, config);
+  harness::TenantEnv env(1, kDevBytes, cudart::CudaRtConfig{4 * 1024, 16}, config);
 
-  vt::StopWatch watch(dom);
-  {
-    dom.hold();
-    std::vector<vt::Thread> apps;
-    for (int t = 0; t < tenants; ++t) {
-      apps.emplace_back(dom, [&runtime, &dom, buffers_per_tenant, iters, t] {
-        tenant_loop(runtime, dom, buffers_per_tenant, iters, t);
-      });
-    }
-    dom.unhold();
-  }
-  runtime.drain();
-
-  const core::MemStats ms = runtime.memory().stats();
   RunResult result;
-  result.elapsed_seconds = watch.elapsed_seconds();
+  result.elapsed_seconds = env.run_tenants(tenants, [&](int t) {
+    tenant_loop(env.runtime(), env.dom(), buffers_per_tenant, iters, t);
+  });
+  result.mem = env.runtime().memory().stats();
   result.ops_per_sec =
       static_cast<double>(tenants) * iters / std::max(result.elapsed_seconds, 1e-12);
-  result.bytes_moved = ms.swap_in_bytes + ms.swap_out_bytes;
-  result.swap_ops = ms.swapped_entries;
-  result.dirty_bytes_saved = ms.dirty_bytes_saved;
-  result.clean_swap_skips = ms.clean_swap_skips;
+  result.bytes_moved = result.mem.swap_in_bytes + result.mem.swap_out_bytes;
   return result;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_swap.json";
   int iters = 60;
   bool with_paging = false;
-  for (int i = 1; i < argc; ++i) {
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) die("missing flag value");
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--out") == 0) {
-      out_path = next();
-    } else if (std::strcmp(argv[i], "--iters") == 0) {
-      iters = std::atoi(next());
-      if (iters <= 0) die("bad --iters");
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      iters = 16;
-    } else if (std::strcmp(argv[i], "--paging") == 0) {
-      with_paging = true;
-    } else {
-      die("unknown flag (expected --out/--iters/--quick/--paging)");
-    }
-  }
+  const std::string out = harness::parse_flags(
+      argc, argv, "bench_swap", [&] { iters = 16; },
+      {harness::count_flag("--iters", &iters), harness::switch_flag("--paging", &with_paging)});
 
   struct Scenario {
     const char* name;
@@ -190,70 +127,48 @@ int main(int argc, char** argv) {
       {"multi_tenant", 4, 2},   // 6 MiB across tenants, inter-app swap
   };
 
-  RunResult naive[2];
-  RunResult incr[2];
-  RunResult paged[2];
+  // Engines in row order: naive, incremental, then (with --paging) paged.
+  const char* const engines[] = {"naive", "incremental", "paged"};
+  const int engine_count = with_paging ? 3 : 2;
+  RunResult runs[2][3];  // [scenario][engine]
   for (size_t s = 0; s < 2; ++s) {
-    naive[s] =
-        run_scenario(false, false, scenarios[s].tenants, scenarios[s].buffers_per_tenant, iters);
-    incr[s] =
-        run_scenario(true, false, scenarios[s].tenants, scenarios[s].buffers_per_tenant, iters);
-    if (with_paging) {
-      paged[s] =
-          run_scenario(true, true, scenarios[s].tenants, scenarios[s].buffers_per_tenant, iters);
-    }
-    for (const auto* r : {&naive[s], &incr[s], with_paging ? &paged[s] : nullptr}) {
-      if (r == nullptr) continue;
+    for (int e = 0; e < engine_count; ++e) {
+      RunResult& r = runs[s][e];
+      r = run_scenario(/*incremental=*/e > 0, /*paged=*/e == 2, scenarios[s].tenants,
+                       scenarios[s].buffers_per_tenant, iters);
       std::printf("%-14s %-12s bytes=%10llu swaps=%6llu ops/sec=%9.1f modeled_s=%.4f\n",
-                  scenarios[s].name,
-                  r == &naive[s]  ? "naive"
-                  : r == &incr[s] ? "incremental"
-                                  : "paged",
-                  static_cast<unsigned long long>(r->bytes_moved),
-                  static_cast<unsigned long long>(r->swap_ops), r->ops_per_sec,
-                  r->elapsed_seconds);
+                  scenarios[s].name, engines[e], static_cast<unsigned long long>(r.bytes_moved),
+                  static_cast<unsigned long long>(r.mem.swapped_entries), r.ops_per_sec,
+                  r.elapsed_seconds);
     }
   }
 
-  const u64 naive_bytes = naive[0].bytes_moved + naive[1].bytes_moved;
-  const u64 incr_bytes = incr[0].bytes_moved + incr[1].bytes_moved;
+  const u64 naive_bytes = runs[0][0].bytes_moved + runs[1][0].bytes_moved;
+  const u64 incr_bytes = runs[0][1].bytes_moved + runs[1][1].bytes_moved;
   const double bytes_ratio =
       static_cast<double>(incr_bytes) / static_cast<double>(std::max<u64>(naive_bytes, 1));
   // Speedup on the heavier multi-tenant scenario; report both per-scenario
   // ops below anyway.
-  const double ops_speedup = incr[1].ops_per_sec / std::max(naive[1].ops_per_sec, 1e-12);
+  const double ops_speedup = runs[1][1].ops_per_sec / std::max(runs[1][0].ops_per_sec, 1e-12);
 
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) die("cannot open --out file");
-  std::fprintf(f, "{\n  \"bench\": \"swap\",\n  \"iters_per_tenant\": %d,\n", iters);
-  std::fprintf(f, "  \"scenarios\": {\n");
+  harness::Json json("swap");
+  json.num("iters_per_tenant", iters).object("scenarios");
   for (size_t s = 0; s < 2; ++s) {
-    std::fprintf(f, "    \"%s\": {\n", scenarios[s].name);
-    const struct {
-      const char* name;
-      const RunResult* r;
-    } rows[] = {{"naive", &naive[s]},
-                {"incremental", &incr[s]},
-                {"paged", with_paging ? &paged[s] : nullptr}};
-    const size_t row_count = with_paging ? 3 : 2;
-    for (size_t m = 0; m < row_count; ++m) {
-      const RunResult& r = *rows[m].r;
-      std::fprintf(f,
-                   "      \"%s\": {\"bytes_moved\": %llu, \"swap_ops\": %llu, "
-                   "\"ops_per_sec\": %.1f, \"modeled_seconds\": %.6f, "
-                   "\"dirty_bytes_saved\": %llu, \"clean_swap_skips\": %llu}%s\n",
-                   rows[m].name, static_cast<unsigned long long>(r.bytes_moved),
-                   static_cast<unsigned long long>(r.swap_ops), r.ops_per_sec,
-                   r.elapsed_seconds, static_cast<unsigned long long>(r.dirty_bytes_saved),
-                   static_cast<unsigned long long>(r.clean_swap_skips),
-                   m + 1 == row_count ? "" : ",");
+    json.object(scenarios[s].name);
+    for (int e = 0; e < engine_count; ++e) {
+      const RunResult& r = runs[s][e];
+      json.object(engines[e], /*inline_=*/true)
+          .num("bytes_moved", r.bytes_moved).num("swap_ops", r.mem.swapped_entries)
+          .num("ops_per_sec", r.ops_per_sec, 1).num("modeled_seconds", r.elapsed_seconds, 6)
+          .num("dirty_bytes_saved", r.mem.dirty_bytes_saved)
+          .num("clean_swap_skips", r.mem.clean_swap_skips)
+          .end();
     }
-    std::fprintf(f, "    }%s\n", s == 0 ? "," : "");
+    json.end();
   }
-  std::fprintf(f, "  },\n  \"bytes_ratio\": %.4f,\n  \"ops_speedup\": %.3f\n}\n", bytes_ratio,
-               ops_speedup);
-  std::fclose(f);
+  json.end().num("bytes_ratio", bytes_ratio, 4).num("ops_speedup", ops_speedup, 3);
+  json.save(out);
   std::printf("bytes_ratio=%.4f ops_speedup=%.3f -> %s\n", bytes_ratio, ops_speedup,
-              out_path.c_str());
+              out.c_str());
   return 0;
 }

@@ -31,48 +31,25 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <memory>
-#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/frontend.hpp"
-#include "core/runtime.hpp"
-#include "obs/trace.hpp"
-#include "sim/machine.hpp"
+#include "harness.hpp"
 
 namespace {
 
 using namespace gpuvm;
+using harness::die;
 
 constexpr u64 kDevBytes = 8ull << 20;  // 8 MiB per GPU: no swap pressure
 constexpr int kGpus = 4;
 constexpr int kVgpusPerDevice = 4;  // 16 vGPUs: global_lock safe up to 16 tenants
 constexpr u64 kFloats = 16 * 1024;  // 64 KiB working buffer per cycle
-
-sim::SimParams bench_params() {
-  sim::SimParams params;
-  params.execute_kernel_bodies = false;
-  return params;
-}
-
-void register_kernel(sim::SimMachine& machine) {
-  sim::KernelDef busy;
-  busy.name = "busy";
-  busy.body = [](sim::KernelExecContext&) { return Status::Ok; };
-  // ~200us of compute on the 100-GFLOPS test GPU: engine time dominates
-  // the per-call channel hops, as in the paper's workloads.
-  busy.cost = [](const sim::LaunchConfig&, const std::vector<sim::KernelArg>&) {
-    return sim::KernelCost{2e7, 0.0};
-  };
-  machine.kernels().add(busy);
-}
-
-[[noreturn]] void die(const char* what) {
-  std::fprintf(stderr, "bench_throughput: %s\n", what);
-  std::exit(1);
-}
+// ~200us of compute on the 100-GFLOPS test GPU: engine time dominates the
+// per-call channel hops, as in the paper's workloads.
+constexpr double kBusyFlops = 2e7;
 
 /// One full environment run; returns aggregate ops per modeled second.
 struct RunResult {
@@ -85,29 +62,19 @@ struct RunResult {
 
 RunResult run_mode(core::DispatchMode mode, bool async_writeback, int tenants, int iters,
                    bool traced = false, std::string* trace_json = nullptr) {
-  vt::Domain dom;
-  vt::AttachGuard guard(dom);
-  // The recorder shares the run's domain so event stamps use its clock;
-  // scoped so untraced runs pay literally zero instrumentation cost beyond
-  // the null-check in the emit helpers.
-  std::optional<obs::TraceRecorder> recorder;
-  std::optional<obs::ScopedTracer> scoped;
-  if (traced) {
-    recorder.emplace(dom);
-    scoped.emplace(*recorder);
-  }
-  sim::SimMachine machine(dom, bench_params());
-  for (int i = 0; i < kGpus; ++i) machine.add_gpu(sim::test_gpu(kDevBytes));
-  register_kernel(machine);
-  cudart::CudaRt rt(machine, cudart::CudaRtConfig{4 * 1024, 64});
   core::RuntimeConfig config;
   config.dispatch_mode = mode;
   config.async_writeback = async_writeback;
   config.scheduler.vgpus_per_device = kVgpusPerDevice;
-  core::Runtime runtime(rt, config);
+  // A traced run's recorder shares the run's domain so event stamps use its
+  // clock; untraced runs pay nothing beyond the null-check in the emit
+  // helpers.
+  harness::TenantEnv env(kGpus, kDevBytes, cudart::CudaRtConfig{4 * 1024, 64}, config, traced);
+  harness::add_kernel(env.machine(), "busy", kBusyFlops);
+  vt::Domain& dom = env.dom();
 
   const auto tenant_loop = [&](int tenant) {
-    core::FrontendApi api(runtime.connect());
+    core::FrontendApi api(env.runtime().connect());
     if (!api.connected()) die("handshake failed");
     if (!ok(api.register_kernels({"busy"}))) die("register failed");
     std::vector<float> host(kFloats, static_cast<float>(tenant));
@@ -126,24 +93,13 @@ RunResult run_mode(core::DispatchMode mode, bool async_writeback, int tenants, i
     }
   };
 
-  vt::StopWatch watch(dom);
-  {
-    dom.hold();
-    std::vector<vt::Thread> apps;
-    for (int t = 0; t < tenants; ++t) {
-      apps.emplace_back(dom, [&, t] { tenant_loop(t); });
-    }
-    dom.unhold();
-  }
-  runtime.drain();
-
   RunResult result;
-  result.elapsed_seconds = watch.elapsed_seconds();
+  result.elapsed_seconds = env.run_tenants(tenants, tenant_loop);
   result.ops_per_sec =
       static_cast<double>(tenants) * iters / std::max(result.elapsed_seconds, 1e-12);
-  result.lock_contended = runtime.stats().dispatch_lock_contended;
-  result.async_writebacks = runtime.memory().stats().async_writebacks;
-  if (recorder.has_value()) {
+  result.lock_contended = env.runtime().stats().dispatch_lock_contended;
+  result.async_writebacks = env.runtime().memory().stats().async_writebacks;
+  if (obs::TraceRecorder* recorder = env.recorder()) {
     result.trace_events = recorder->size();
     if (trace_json != nullptr) *trace_json = recorder->export_chrome_json();
   }
@@ -183,24 +139,17 @@ int run_trace_overhead(const std::string& out_path, const std::string& trace_out
   const double ratio = best_on / std::max(best_off, 1e-12);
 
   if (!trace_out.empty() && !trace_json.empty()) {
-    FILE* tf = std::fopen(trace_out.c_str(), "w");
-    if (tf == nullptr) die("cannot open --trace-out file");
-    std::fputs(trace_json.c_str(), tf);
-    std::fclose(tf);
+    harness::write_file(trace_out, trace_json, "--trace-out");
     std::printf("trace written to %s\n", trace_out.c_str());
   }
 
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) die("cannot open --out file");
-  std::fprintf(f,
-               "{\n  \"bench\": \"trace_overhead\",\n  \"tenants\": %d,\n"
-               "  \"iters_per_tenant\": %d,\n  \"reps\": %d,\n"
-               "  \"untraced_wall_seconds\": %.6f,\n  \"traced_wall_seconds\": %.6f,\n"
-               "  \"untraced_ops_per_sec\": %.1f,\n  \"traced_ops_per_sec\": %.1f,\n"
-               "  \"overhead_ratio\": %.4f\n}\n",
-               tenants, iters, reps, best_off, best_on, total_ops / std::max(best_off, 1e-12),
-               total_ops / std::max(best_on, 1e-12), ratio);
-  std::fclose(f);
+  harness::Json json("trace_overhead");
+  json.num("tenants", tenants).num("iters_per_tenant", iters).num("reps", reps);
+  json.num("untraced_wall_seconds", best_off, 6).num("traced_wall_seconds", best_on, 6);
+  json.num("untraced_ops_per_sec", total_ops / std::max(best_off, 1e-12), 1)
+      .num("traced_ops_per_sec", total_ops / std::max(best_on, 1e-12), 1);
+  json.num("overhead_ratio", ratio, 4);
+  json.save(out_path);
   std::printf("trace overhead ratio=%.4f (traced/untraced wall time) -> %s\n", ratio,
               out_path.c_str());
   return 0;
@@ -208,16 +157,11 @@ int run_trace_overhead(const std::string& out_path, const std::string& trace_out
 
 std::vector<int> parse_counts(const char* csv) {
   std::vector<int> counts;
-  std::string s(csv);
-  size_t pos = 0;
-  while (pos < s.size()) {
-    const size_t comma = s.find(',', pos);
-    const std::string tok = s.substr(pos, comma == std::string::npos ? comma : comma - pos);
+  std::istringstream in(csv);
+  for (std::string tok; std::getline(in, tok, ',');) {
     const int n = std::atoi(tok.c_str());
     if (n <= 0) die("bad --tenant-counts");
     counts.push_back(n);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
   }
   return counts;
 }
@@ -225,42 +169,25 @@ std::vector<int> parse_counts(const char* csv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_throughput.json";
   std::string trace_out;
   int iters = 40;
   int reps = 3;
   bool trace_overhead = false;
   std::vector<int> counts = {1, 4, 8, 16};
-  for (int i = 1; i < argc; ++i) {
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) die("missing flag value");
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--out") == 0) {
-      out_path = next();
-    } else if (std::strcmp(argv[i], "--iters") == 0) {
-      iters = std::atoi(next());
-      if (iters <= 0) die("bad --iters");
-    } else if (std::strcmp(argv[i], "--tenant-counts") == 0) {
-      counts = parse_counts(next());
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      iters = 8;
-      counts = {1, 8};
-    } else if (std::strcmp(argv[i], "--trace-overhead") == 0) {
-      trace_overhead = true;
-    } else if (std::strcmp(argv[i], "--reps") == 0) {
-      reps = std::atoi(next());
-      if (reps <= 0) die("bad --reps");
-    } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-      trace_out = next();
-    } else {
-      die("unknown flag (expected --out/--iters/--tenant-counts/--quick/"
-          "--trace-overhead/--reps/--trace-out)");
-    }
-  }
+  const std::string out = harness::parse_flags(
+      argc, argv, "bench_throughput",
+      [&] {
+        iters = 8;
+        counts = {1, 8};
+      },
+      {harness::count_flag("--iters", &iters),
+       {"--tenant-counts", true, [&](const char* csv) { counts = parse_counts(csv); }},
+       harness::switch_flag("--trace-overhead", &trace_overhead),
+       harness::count_flag("--reps", &reps),
+       {"--trace-out", true, [&](const char* path) { trace_out = path; }}});
 
   if (trace_overhead) {
-    return run_trace_overhead(out_path, trace_out, /*tenants=*/8, iters, reps);
+    return run_trace_overhead(out, trace_out, /*tenants=*/8, iters, reps);
   }
 
   struct Mode {
@@ -289,28 +216,24 @@ int main(int argc, char** argv) {
     if (counts[i] == 8) speedup8 = results[1][i].ops_per_sec / results[0][i].ops_per_sec;
   }
 
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) die("cannot open --out file");
-  std::fprintf(f, "{\n  \"bench\": \"throughput\",\n  \"iters_per_tenant\": %d,\n", iters);
-  std::fprintf(f, "  \"gpus\": %d,\n  \"vgpus_per_device\": %d,\n", kGpus, kVgpusPerDevice);
-  std::fprintf(f, "  \"modes\": {\n");
+  harness::Json json("throughput");
+  json.num("iters_per_tenant", iters).num("gpus", kGpus).num("vgpus_per_device", kVgpusPerDevice);
+  json.object("modes");
   for (size_t m = 0; m < 2; ++m) {
-    std::fprintf(f, "    \"%s\": [\n", modes[m].name);
+    json.array(modes[m].name);
     for (size_t i = 0; i < counts.size(); ++i) {
       const RunResult& r = results[m][i];
-      std::fprintf(f,
-                   "      {\"tenants\": %d, \"ops_per_sec\": %.1f, "
-                   "\"modeled_seconds\": %.6f, \"dispatch_lock_contended\": %llu, "
-                   "\"async_writebacks\": %llu}%s\n",
-                   counts[i], r.ops_per_sec, r.elapsed_seconds,
-                   static_cast<unsigned long long>(r.lock_contended),
-                   static_cast<unsigned long long>(r.async_writebacks),
-                   i + 1 < counts.size() ? "," : "");
+      json.object(nullptr, /*inline_=*/true)
+          .num("tenants", counts[i]).num("ops_per_sec", r.ops_per_sec, 1)
+          .num("modeled_seconds", r.elapsed_seconds, 6)
+          .num("dispatch_lock_contended", r.lock_contended)
+          .num("async_writebacks", r.async_writebacks)
+          .end();
     }
-    std::fprintf(f, "    ]%s\n", m == 0 ? "," : "");
+    json.end();
   }
-  std::fprintf(f, "  },\n  \"speedup_8_tenants\": %.3f\n}\n", speedup8);
-  std::fclose(f);
-  std::printf("speedup_8_tenants=%.3f -> %s\n", speedup8, out_path.c_str());
+  json.end().num("speedup_8_tenants", speedup8, 3);
+  json.save(out);
+  std::printf("speedup_8_tenants=%.3f -> %s\n", speedup8, out.c_str());
   return 0;
 }

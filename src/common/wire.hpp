@@ -93,6 +93,9 @@ class WireWriter {
     buf_.insert(buf_.end(), bytes, bytes + v.size() * sizeof(T));
   }
 
+  /// Pre-sizes the buffer for a writer that will keep growing.
+  void reserve(size_t bytes) { buf_.reserve(bytes); }
+
   const std::vector<u8>& bytes() const { return buf_; }
   std::vector<u8> take() { return std::move(buf_); }
 

@@ -243,87 +243,53 @@ std::span<std::byte> SimGpu::mapped_bytes_locked(DevicePtr addr, u64 size, Statu
   return span->memory.bytes().subspan(offset, size);
 }
 
-Status SimGpu::copy_to_device(DevicePtr dst, std::span<const std::byte> src) {
+Result<vt::TimePoint> SimGpu::copy_host(CopyDir dir, bool blocking, DevicePtr dev,
+                                        std::span<const std::byte> from_host,
+                                        std::span<std::byte> to_host, u64 size) {
   if (const Status s = check_healthy_and_count(); !ok(s)) return s;
+  if (dir == CopyDir::kFromDevice && to_host.size() < size) return Status::ErrorInvalidValue;
   {
     std::scoped_lock lock(mem_mu_);
     Status s = Status::Ok;
-    const std::span<std::byte> bytes = mapped_bytes_locked(dst, src.size(), &s);
+    const std::span<std::byte> bytes = mapped_bytes_locked(dev, size, &s);
     if (!ok(s)) return s;
-    std::memcpy(bytes.data(), src.data(), src.size());
-    stats_.bytes_to_device += src.size();
+    if (dir == CopyDir::kToDevice) {
+      std::memcpy(bytes.data(), from_host.data(), size);
+      stats_.bytes_to_device += size;
+    } else {
+      std::memcpy(to_host.data(), bytes.data(), size);
+      stats_.bytes_from_device += size;
+    }
   }
+  static constexpr const char* kSpanNames[2][2] = {{"h2d-async", "h2d"}, {"d2h-async", "d2h"}};
   vt::TimePoint start{};
   const vt::TimePoint done =
-      copy_.occupy(transfer_time(spec_, params_, src.size()), 1, 0.0, nullptr, &start);
-  obs::emit_span("h2d", "xfer", id_.value, obs::kCopyEngineTid, start, done - start, 0,
-                 src.size());
-  transfer_bytes_hist().observe(static_cast<double>(src.size()));
+      copy_.occupy(transfer_time(spec_, params_, size), 1, 0.0, nullptr, &start);
+  obs::emit_span(kSpanNames[dir == CopyDir::kFromDevice][blocking], "xfer", id_.value,
+                 obs::kCopyEngineTid, start, done - start, 0, size);
+  transfer_bytes_hist().observe(static_cast<double>(size));
+  if (!blocking) return done;  // no sleep: the caller overlaps the transfer
   dom_->sleep_until(done);
   if (!healthy()) return Status::ErrorDeviceUnavailable;  // failed mid-transfer
-  return Status::Ok;
+  return done;
+}
+
+Status SimGpu::copy_to_device(DevicePtr dst, std::span<const std::byte> src) {
+  return copy_host(CopyDir::kToDevice, /*blocking=*/true, dst, src, {}, src.size()).status();
 }
 
 Result<vt::TimePoint> SimGpu::copy_to_device_async(DevicePtr dst,
                                                    std::span<const std::byte> src) {
-  if (const Status s = check_healthy_and_count(); !ok(s)) return s;
-  {
-    std::scoped_lock lock(mem_mu_);
-    Status s = Status::Ok;
-    const std::span<std::byte> bytes = mapped_bytes_locked(dst, src.size(), &s);
-    if (!ok(s)) return s;
-    std::memcpy(bytes.data(), src.data(), src.size());
-    stats_.bytes_to_device += src.size();
-  }
-  vt::TimePoint start{};
-  const vt::TimePoint done =
-      copy_.occupy(transfer_time(spec_, params_, src.size()), 1, 0.0, nullptr, &start);
-  obs::emit_span("h2d-async", "xfer", id_.value, obs::kCopyEngineTid, start, done - start, 0,
-                 src.size());
-  transfer_bytes_hist().observe(static_cast<double>(src.size()));
-  return done;  // no sleep: the caller overlaps the page-in
+  return copy_host(CopyDir::kToDevice, /*blocking=*/false, dst, src, {}, src.size());
 }
 
 Status SimGpu::copy_from_device(std::span<std::byte> dst, DevicePtr src, u64 size) {
-  if (const Status s = check_healthy_and_count(); !ok(s)) return s;
-  if (dst.size() < size) return Status::ErrorInvalidValue;
-  {
-    std::scoped_lock lock(mem_mu_);
-    Status s = Status::Ok;
-    const std::span<std::byte> bytes = mapped_bytes_locked(src, size, &s);
-    if (!ok(s)) return s;
-    std::memcpy(dst.data(), bytes.data(), size);
-    stats_.bytes_from_device += size;
-  }
-  vt::TimePoint start{};
-  const vt::TimePoint done =
-      copy_.occupy(transfer_time(spec_, params_, size), 1, 0.0, nullptr, &start);
-  obs::emit_span("d2h", "xfer", id_.value, obs::kCopyEngineTid, start, done - start, 0, size);
-  transfer_bytes_hist().observe(static_cast<double>(size));
-  dom_->sleep_until(done);
-  if (!healthy()) return Status::ErrorDeviceUnavailable;
-  return Status::Ok;
+  return copy_host(CopyDir::kFromDevice, /*blocking=*/true, src, {}, dst, size).status();
 }
 
 Result<vt::TimePoint> SimGpu::copy_from_device_async(std::span<std::byte> dst, DevicePtr src,
                                                      u64 size) {
-  if (const Status s = check_healthy_and_count(); !ok(s)) return s;
-  if (dst.size() < size) return Status::ErrorInvalidValue;
-  {
-    std::scoped_lock lock(mem_mu_);
-    Status s = Status::Ok;
-    const std::span<std::byte> bytes = mapped_bytes_locked(src, size, &s);
-    if (!ok(s)) return s;
-    std::memcpy(dst.data(), bytes.data(), size);
-    stats_.bytes_from_device += size;
-  }
-  vt::TimePoint start{};
-  const vt::TimePoint done =
-      copy_.occupy(transfer_time(spec_, params_, size), 1, 0.0, nullptr, &start);
-  obs::emit_span("d2h-async", "xfer", id_.value, obs::kCopyEngineTid, start, done - start, 0,
-                 size);
-  transfer_bytes_hist().observe(static_cast<double>(size));
-  return done;  // no sleep: the caller overlaps the drain
+  return copy_host(CopyDir::kFromDevice, /*blocking=*/false, src, {}, dst, size);
 }
 
 Status SimGpu::copy_device_to_device(DevicePtr dst, DevicePtr src, u64 size) {

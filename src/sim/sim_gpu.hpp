@@ -246,6 +246,18 @@ class SimGpu {
     vt::Duration busy_{};
   };
 
+  /// Which way a host<->device copy moves bytes.
+  enum class CopyDir { kToDevice, kFromDevice };
+  // The four host<->device copies in one: health check and device-op
+  // count, the bytes moved at once (from `from_host` into device memory at
+  // `dev`, or from there into `to_host`), then the copy engine reserved for
+  // the modeled PCIe time and traced as h2d / h2d-async / d2h / d2h-async.
+  // Returns the completion point; a blocking copy first sleeps until it and
+  // re-checks health.
+  Result<vt::TimePoint> copy_host(CopyDir dir, bool blocking, DevicePtr dev,
+                                  std::span<const std::byte> from_host,
+                                  std::span<std::byte> to_host, u64 size);
+
   // Locates the span containing `addr`; returns nullptr when invalid.
   // Caller must hold mem_mu_.
   Span* locate_locked(DevicePtr addr, u64* offset);

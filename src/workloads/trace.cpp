@@ -23,6 +23,10 @@ enum class TraceOp : u8 {
 
 constexpr u32 kTraceMagic = 0x67747263;  // "gtrc"
 constexpr u64 kInvalidIndex = ~0ull;
+/// Initial trace buffer. A recording only grows; reserving before the first
+/// write also spares GCC 12 a false -Wstringop-overflow on an insert into
+/// the empty vector.
+constexpr size_t kInitialTraceBytes = 4096;
 
 /// A (allocation-index, byte-offset) reference replacing raw virtual
 /// pointers in the serialized form.
@@ -45,7 +49,10 @@ struct TracingApi::Impl {
   };
   std::vector<Allocation> allocations;
 
-  explicit Impl(core::GpuApi& api) : inner(&api) { out.put<u32>(kTraceMagic); }
+  explicit Impl(core::GpuApi& api) : inner(&api) {
+    out.reserve(kInitialTraceBytes);
+    out.put<u32>(kTraceMagic);
+  }
 
   PtrRef resolve(VirtualPtr ptr) const {
     for (u64 i = 0; i < allocations.size(); ++i) {

@@ -1,17 +1,16 @@
 // Tests for the observability layer (src/obs): trace recorder thread
 // safety under vt threads, histogram bucket semantics, Chrome-JSON
 // well-formedness, the QueryStats wire round-trip, and the guarantee that
-// instrumentation with tracing disabled never allocates.
+// instrumentation with tracing disabled never allocates (counted by the
+// replacement operator new in alloc_count.cpp).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cctype>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "common/vt.hpp"
 #include "common/wire.hpp"
 #include "core/frontend.hpp"
@@ -20,47 +19,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/machine.hpp"
-
-// ---- allocation counting (for the disabled-path test) ----------------------
-// Replacement global operator new that counts allocations while armed. The
-// disabled trace path promises "one relaxed load and a branch" -- zero
-// allocations -- and this is the only way to actually check that.
-
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::size_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(n ? n : 1);
-  if (p == nullptr) throw std::bad_alloc{};
-  return p;
-}
-void* operator new[](std::size_t n) { return operator new(n); }
-// The nothrow forms must be replaced too: libstdc++'s get_temporary_buffer
-// (used by std::stable_sort) allocates through operator new(nothrow), and a
-// partial replacement would pair the library's allocator with our free-based
-// operator delete -- an alloc/dealloc mismatch under ASan.
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  return std::malloc(n ? n : 1);
-}
-void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
-  return operator new(n, t);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace gpuvm {
 namespace {
@@ -388,8 +346,7 @@ TEST(DisabledPath, SpanScopeAndCachedHandlesDoNotAllocate) {
   obs::Histogram& hist =                                                     // taken before
       obs::metrics().histogram("test.disabled_hist", obs::default_seconds_edges());  // arming
 
-  g_allocs.store(0, std::memory_order_relaxed);
-  g_count_allocs.store(true, std::memory_order_relaxed);
+  test::start_counting_allocs();
   for (int i = 0; i < 1000; ++i) {
     obs::SpanScope span("kernel", "cat", 1, obs::kComputeEngineTid, 7, 4096);
     span.set_bytes(8192);
@@ -397,8 +354,7 @@ TEST(DisabledPath, SpanScopeAndCachedHandlesDoNotAllocate) {
     counter.add(1);
     hist.observe(0.001 * i);
   }
-  g_count_allocs.store(false, std::memory_order_relaxed);
-  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), 0u)
+  EXPECT_EQ(test::stop_counting_allocs(), 0u)
       << "instrumentation with tracing disabled must not allocate";
   EXPECT_EQ(counter.value(), 1000u);
 }

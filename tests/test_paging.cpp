@@ -771,7 +771,9 @@ TEST(PagingScenario, OversubscribedTenantsEvictPagesUnderFaults) {
   EXPECT_TRUE(first.violations.empty());
   EXPECT_GT(first.page_evictions, 0u);
   for (const auto& t : first.outcomes) {
-    if (t.final_status == Status::Ok) EXPECT_TRUE(t.data_ok) << "tenant " << t.tenant;
+    if (t.final_status == Status::Ok) {
+      EXPECT_TRUE(t.data_ok) << "tenant " << t.tenant;
+    }
   }
 }
 
