@@ -156,13 +156,13 @@ std::string ScenarioResult::diff(const ScenarioResult& other) const {
     if (a != b) os << name << " " << a << " vs " << b << "\n";
   };
   cmp("chaos.events", chaos_events, other.chaos_events);
-  cmp("runtime.recoveries", recoveries, other.recoveries);
+  cmp("recoveries", recoveries, other.recoveries);
   cmp("transport.retries", transport_retries, other.transport_retries);
   cmp("transport.dropped", transport_dropped, other.transport_dropped);
-  cmp("sched.requeues", requeues, other.requeues);
-  cmp("cluster.migrations", migrations, other.migrations);
-  cmp("sched.preemptions", preemptions, other.preemptions);
-  cmp("mm.page_evictions", page_evictions, other.page_evictions);
+  cmp("requeues", requeues, other.requeues);
+  cmp("migrations", migrations, other.migrations);
+  cmp("preemptions", preemptions, other.preemptions);
+  cmp("page_evictions", page_evictions, other.page_evictions);
   return os.str();
 }
 
@@ -300,13 +300,17 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     result.event_log.push_back(os.str());
   }
   result.chaos_events = counter_value(obs::names::kChaosEvents);
-  result.recoveries = counter_value(obs::names::kRuntimeRecoveries);
   result.transport_retries = counter_value(obs::names::kTransportRetries);
   result.transport_dropped = counter_value(obs::names::kTransportDroppedMessages);
-  result.requeues = counter_value(obs::names::kSchedRequeues);
-  result.migrations = counter_value(obs::names::kClusterMigrations);
-  result.preemptions = counter_value(obs::names::kSchedPreemptions);
-  result.page_evictions = counter_value(obs::names::kMmPageEvictions);
+  for (const NodeTarget& target : targets) {
+    const core::RuntimeStats rs = target.runtime->stats();
+    const core::SchedulerStats ss = target.runtime->scheduler().stats();
+    result.recoveries += rs.recoveries;
+    result.migrations += rs.migrations_out;
+    result.requeues += ss.requeues;
+    result.preemptions += ss.preemptions;
+    result.page_evictions += target.runtime->memory().stats().page_evictions;
+  }
 
   if (recorder != nullptr) {
     tracing.reset();  // stop recording before export

@@ -11,14 +11,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 
 #include "common/status.hpp"
 #include "common/types.hpp"
 #include "common/vt.hpp"
-#include "sim/kernels.hpp"
 #include "transport/channel.hpp"
 
 namespace gpuvm::core {
@@ -85,10 +83,6 @@ struct Context {
   std::map<u64, std::string> functions;
   std::set<u64> modules;
   u64 next_module = 1;
-
-  /// Pending cudaConfigureCall/cudaSetupArgument state.
-  std::optional<sim::LaunchConfig> pending_config;
-  std::vector<sim::KernelArg> pending_args;
 
   /// Scheduling metadata.
   vt::TimePoint arrival{};

@@ -154,8 +154,8 @@ Status FrontendApi::memcpy_d2d(VirtualPtr dst, VirtualPtr src, u64 size) {
 Status FrontendApi::launch(const std::string& kernel, const sim::LaunchConfig& config,
                            const std::vector<sim::KernelArg>& args) {
   // The real frontend issues cudaConfigureCall + N cudaSetupArgument +
-  // cudaLaunch; we coalesce them into one frame (the daemon replays the
-  // same semantics) to keep the hop count realistic for one logical call.
+  // cudaLaunch; we coalesce them into one self-contained Launch frame to
+  // keep the hop count realistic for one logical call.
   WireWriter w;
   w.put_string(kernel);
   w.put<sim::LaunchConfig>(config);

@@ -35,55 +35,10 @@ obs::Histogram& swap_bytes_hist() {
   return h;
 }
 
-obs::Counter& async_writebacks_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kMmAsyncWritebacks);
-  return c;
-}
-
-obs::Counter& writeback_fences_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kMmWritebackFences);
-  return c;
-}
-
-obs::Counter& dirty_bytes_saved_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kMmDirtyBytesSaved);
-  return c;
-}
-
-obs::Counter& swap_in_bytes_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kMmSwapInBytes);
-  return c;
-}
-
 obs::Histogram& bulk_h2d_bytes_hist() {
   static obs::Histogram& h =
       obs::metrics().histogram(obs::names::kMmBulkH2dBytes, obs::default_bytes_edges());
   return h;
-}
-
-obs::Counter& page_faults_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kMmPageFaults);
-  return c;
-}
-
-obs::Counter& tlb_hits_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kMmTlbHits);
-  return c;
-}
-
-obs::Counter& tlb_misses_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kMmTlbMisses);
-  return c;
-}
-
-obs::Counter& prefetched_pages_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kMmPrefetchedPages);
-  return c;
-}
-
-obs::Counter& page_evictions_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kMmPageEvictions);
-  return c;
 }
 
 obs::Histogram& page_fault_seconds_hist() {
@@ -230,7 +185,7 @@ Status MemoryManager::on_copy_h2d(ContextId ctx, VirtualPtr dst, std::span<const
   const auto [pte, offset] = locate(*mem, dst);
   if (pte == nullptr) return Status::ErrorNoValidPte;
   if (offset + src.size() > pte->size) {
-    stats_.bounds_rejections.fetch_add(1, std::memory_order_relaxed);
+    stats_.bounds_rejections.add(1);
     return Status::ErrorSwapSizeMismatch;  // caught before reaching the GPU
   }
 
@@ -308,11 +263,8 @@ Status MemoryManager::write_back(PageTableEntry& pte, ByteRange range, bool asyn
   if (!ok(s)) return s;
   pte.dev_dirty.erase(range.begin, range.end);
   pte.to_copy_2_swap = !pte.dev_dirty.empty();
-  stats_.swap_out_bytes.fetch_add(moved, std::memory_order_relaxed);
-  if (async) {
-    stats_.async_writebacks.fetch_add(1, std::memory_order_relaxed);
-    async_writebacks_counter().add(1);
-  }
+  stats_.swap_out_bytes.add(moved);
+  if (async) stats_.async_writebacks.add(1);
   if (range.size() == pte.size) count_saved(pte.size - moved);
   return Status::Ok;
 }
@@ -321,8 +273,7 @@ void MemoryManager::fence_writeback(PageTableEntry& pte) {
   if (pte.writeback_done == vt::TimePoint{}) return;
   vt::Domain& dom = rt_->machine().domain();
   if (pte.writeback_done > dom.now()) {
-    stats_.writeback_fences.fetch_add(1, std::memory_order_relaxed);
-    writeback_fences_counter().add(1);
+    stats_.writeback_fences.add(1);
     dom.sleep_until(pte.writeback_done);
   }
   pte.writeback_done = vt::TimePoint{};
@@ -420,13 +371,13 @@ void MemoryManager::retire_prefetched(PageTableEntry& pte, u64 begin, u64 end) {
   const u64 unused = pte.prefetched_untouched.intersected(IntervalSet::of(begin, end))
                          .pages(page_bytes_of(pte), pte.size)
                          .size();
-  stats_.prefetch_unused_pages.fetch_add(unused, std::memory_order_relaxed);
+  stats_.prefetch_unused_pages.add(unused);
   pte.prefetched_untouched.erase(begin, end);
 }
 
 void MemoryManager::audit_residency(const PageTableEntry& pte) {
   if (pte.dev_dirty.intersected(pte.mapped) == pte.dev_dirty) return;
-  stats_.residency_violations.fetch_add(1, std::memory_order_relaxed);
+  stats_.residency_violations.add(1);
   log::error("mm: entry 0x%llx has device-dirty bytes outside its mapped pages",
              static_cast<unsigned long long>(pte.virtual_ptr));
 }
@@ -477,8 +428,7 @@ Status MemoryManager::evict_page(CtxMem& mem, PageTableEntry& pte, u64 page) {
   retire_prefetched(pte, r.begin, r.end);
   tlb_flush_page(mem, pte, page);
   note_unmapped(mem, r.size());
-  stats_.page_evictions.fetch_add(1, std::memory_order_relaxed);
-  page_evictions_counter().add(1);
+  stats_.page_evictions.add(1);
   // The entry's only page: the whole entry left the device.
   if (r.size() == pte.size) count_entry_swap(pte, dirty);
   audit_residency(pte);
@@ -510,7 +460,7 @@ Status MemoryManager::on_copy_d2h(ContextId ctx, std::span<std::byte> dst, Virtu
   const auto [pte, offset] = locate(*mem, src);
   if (pte == nullptr) return Status::ErrorNoValidPte;
   if (offset + size > pte->size || dst.size() < size) {
-    stats_.bounds_rejections.fetch_add(1, std::memory_order_relaxed);
+    stats_.bounds_rejections.add(1);
     return Status::ErrorSwapSizeMismatch;
   }
   // Table 1: "If (PTE.toCopy2Swap) cudaMemcpyDH" -- sync then serve from swap.
@@ -531,7 +481,7 @@ Status MemoryManager::on_copy_d2d(ContextId ctx, VirtualPtr dst, VirtualPtr src,
   const auto [dpte, dst_off] = locate(*mem, dst);
   if (spte == nullptr || dpte == nullptr) return Status::ErrorNoValidPte;
   if (src_off + size > spte->size || dst_off + size > dpte->size) {
-    stats_.bounds_rejections.fetch_add(1, std::memory_order_relaxed);
+    stats_.bounds_rejections.add(1);
     return Status::ErrorSwapSizeMismatch;
   }
   // Resolve the source's authoritative copy into swap, then stage the
@@ -657,25 +607,23 @@ Status MemoryManager::swap_entry(CtxMem& mem, PageTableEntry& pte) {
   pte.dev_dirty.clear();
   pte.host_dirty.clear();      // recomputed from swap_valid at re-materialization
   // The page-use stamps survive: they still describe the entry's heat.
-  stats_.page_evictions.fetch_add(mapped_pages, std::memory_order_relaxed);
-  page_evictions_counter().add(mapped_pages);
+  stats_.page_evictions.add(mapped_pages);
   count_entry_swap(pte, dirty);
   return sync == Status::ErrorDeviceUnavailable ? Status::Ok : sync;
 }
 
 void MemoryManager::count_saved(u64 bytes) {
   if (!config_.incremental_swap) return;
-  stats_.dirty_bytes_saved.fetch_add(bytes, std::memory_order_relaxed);
-  dirty_bytes_saved_counter().add(bytes);
+  stats_.dirty_bytes_saved.add(bytes);
 }
 
 void MemoryManager::count_entry_swap(const PageTableEntry& pte, bool dirty) {
   if (!dirty) {
-    stats_.clean_swap_skips.fetch_add(1, std::memory_order_relaxed);
+    stats_.clean_swap_skips.add(1);
     count_saved(pte.size);
   }
-  stats_.swapped_entries.fetch_add(1, std::memory_order_relaxed);
-  stats_.swap_bytes.fetch_add(pte.size, std::memory_order_relaxed);
+  stats_.swapped_entries.add(1);
+  stats_.swap_bytes.add(pte.size);
   swap_bytes_hist().observe(static_cast<double>(pte.size));
 }
 
@@ -803,7 +751,7 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
   const auto count_intra_swap = [&] {
     if (counted_intra) return;
     counted_intra = true;
-    stats_.intra_app_swaps.fetch_add(1, std::memory_order_relaxed);
+    stats_.intra_app_swaps.add(1);
     obs::emit_instant("intra-app-swap", "swap", obs::kRuntimePid, ctx.value, ctx.value);
   };
   for (PageTableEntry* pte : closure) {
@@ -897,11 +845,9 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
       }
       touched.emplace(pte, std::move(pages));
     }
-    stats_.tlb_hits.fetch_add(hits, std::memory_order_relaxed);
-    stats_.tlb_misses.fetch_add(misses, std::memory_order_relaxed);
-    if (hits > 0) tlb_hits_counter().add(hits);
+    stats_.tlb_hits.add(hits);
+    stats_.tlb_misses.add(misses);
     if (misses > 0) {
-      tlb_misses_counter().add(misses);
       rt_->machine().domain().sleep_for(vt::Duration{misses * kTlbMissNs});
     }
   }
@@ -956,10 +902,9 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
         pte->to_copy_2_dev = false;
         pte->host_dirty.clear();
       }
-      stats_.bulk_transfers.fetch_add(1, std::memory_order_relaxed);
+      stats_.bulk_transfers.add(1);
     }
-    stats_.swap_in_bytes.fetch_add(bulk_bytes, std::memory_order_relaxed);
-    swap_in_bytes_counter().add(bulk_bytes);
+    stats_.swap_in_bytes.add(bulk_bytes);
     if (flagged_bytes > bulk_bytes) count_saved(flagged_bytes - bulk_bytes);
     bulk_h2d_bytes_hist().observe(static_cast<double>(bulk_bytes));
     if (config_.paging) {
@@ -971,10 +916,7 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
         for (const ByteRange& r : up.ranges) shipped.add(r.begin, r.end);
         faults += shipped.pages(page_bytes_of(*up.pte), up.pte->size).size();
       }
-      if (faults > 0) {
-        stats_.page_faults.fetch_add(faults, std::memory_order_relaxed);
-        page_faults_counter().add(faults);
-      }
+      stats_.page_faults.add(faults);
       page_fault_seconds_hist().observe(
           vt::to_seconds(rt_->machine().domain().now() - fault_start));
     }
@@ -1086,10 +1028,8 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
     }
     if (shipped_pages > 0) {
       pte->to_copy_2_dev = !pte->host_dirty.empty();
-      stats_.prefetched_pages.fetch_add(shipped_pages, std::memory_order_relaxed);
-      prefetched_pages_counter().add(shipped_pages);
-      stats_.swap_in_bytes.fetch_add(shipped_bytes, std::memory_order_relaxed);
-      swap_in_bytes_counter().add(shipped_bytes);
+      stats_.prefetched_pages.add(shipped_pages);
+      stats_.swap_in_bytes.add(shipped_bytes);
     }
   }
   if (evicted > 0) count_intra_swap();
@@ -1143,7 +1083,7 @@ bool MemoryManager::try_peer_move(CtxMem& mem, PageTableEntry& pte, GpuId gpu,
   // is exactly as (in)valid as before.
   mem.resident_gpu.store(gpu.value, std::memory_order_relaxed);
   ctx_lru_touch(mem, gpu.value, mem.last_use_ns.load(std::memory_order_relaxed));
-  stats_.peer_copies.fetch_add(1, std::memory_order_relaxed);
+  stats_.peer_copies.add(1);
   return true;
 }
 
@@ -1612,39 +1552,15 @@ u64 MemoryManager::evict_pages(ContextId ctx, GpuId gpu, u64 needed) {
 }
 
 void MemoryManager::count_inter_app_swap() {
-  stats_.inter_app_swaps.fetch_add(1, std::memory_order_relaxed);
+  stats_.inter_app_swaps.add(1);
 }
 
 Status MemoryManager::preempt_swap_out(ContextId ctx) {
   const Status s = swap_context(ctx);
-  if (ok(s)) stats_.preempt_swaps.fetch_add(1, std::memory_order_relaxed);
+  if (ok(s)) stats_.preempt_swaps.add(1);
   return s;
 }
 
-MemStats MemoryManager::stats() const {
-  MemStats out;
-  out.intra_app_swaps = stats_.intra_app_swaps.load(std::memory_order_relaxed);
-  out.inter_app_swaps = stats_.inter_app_swaps.load(std::memory_order_relaxed);
-  out.swapped_entries = stats_.swapped_entries.load(std::memory_order_relaxed);
-  out.swap_bytes = stats_.swap_bytes.load(std::memory_order_relaxed);
-  out.bulk_transfers = stats_.bulk_transfers.load(std::memory_order_relaxed);
-  out.bounds_rejections = stats_.bounds_rejections.load(std::memory_order_relaxed);
-  out.peer_copies = stats_.peer_copies.load(std::memory_order_relaxed);
-  out.async_writebacks = stats_.async_writebacks.load(std::memory_order_relaxed);
-  out.writeback_fences = stats_.writeback_fences.load(std::memory_order_relaxed);
-  out.swap_out_bytes = stats_.swap_out_bytes.load(std::memory_order_relaxed);
-  out.swap_in_bytes = stats_.swap_in_bytes.load(std::memory_order_relaxed);
-  out.dirty_bytes_saved = stats_.dirty_bytes_saved.load(std::memory_order_relaxed);
-  out.clean_swap_skips = stats_.clean_swap_skips.load(std::memory_order_relaxed);
-  out.preempt_swaps = stats_.preempt_swaps.load(std::memory_order_relaxed);
-  out.page_faults = stats_.page_faults.load(std::memory_order_relaxed);
-  out.tlb_hits = stats_.tlb_hits.load(std::memory_order_relaxed);
-  out.tlb_misses = stats_.tlb_misses.load(std::memory_order_relaxed);
-  out.prefetched_pages = stats_.prefetched_pages.load(std::memory_order_relaxed);
-  out.prefetch_unused_pages = stats_.prefetch_unused_pages.load(std::memory_order_relaxed);
-  out.page_evictions = stats_.page_evictions.load(std::memory_order_relaxed);
-  out.residency_violations = stats_.residency_violations.load(std::memory_order_relaxed);
-  return out;
-}
+MemStats MemoryManager::stats() const { return obs::load_fields<MemStats>(stats_); }
 
 }  // namespace gpuvm::core

@@ -69,6 +69,7 @@
 #include "core/gpu_api.hpp"
 #include "core/paging_policy.hpp"
 #include "cudart/cudart.hpp"
+#include "obs/metrics.hpp"
 
 namespace gpuvm::core {
 
@@ -154,36 +155,67 @@ struct PageTableEntry {
   vt::TimePoint upload_done{};
 };
 
-/// Counters for the experiments (Figures 7-9 annotate swap counts).
-struct MemStats {
-  u64 intra_app_swaps = 0;   ///< launch-triggered evictions of own entries
-  u64 inter_app_swaps = 0;   ///< whole-context evictions for another app
-  u64 swapped_entries = 0;   ///< individual PTEs written back + freed
-  u64 swap_bytes = 0;
-  u64 bulk_transfers = 0;    ///< coalesced host->device materializations
-  u64 bounds_rejections = 0; ///< bad ops stopped before touching the device
-  u64 peer_copies = 0;       ///< direct GPU-to-GPU migrations (CUDA 4 mode)
-  u64 async_writebacks = 0;  ///< evictions whose D2H overlapped other work
-  u64 writeback_fences = 0;  ///< swap reads that had to await an async drain
-  u64 swap_out_bytes = 0;    ///< bytes actually shipped D2H on the swap path
-  u64 swap_in_bytes = 0;     ///< bytes actually shipped H2D re-materializing
-  u64 dirty_bytes_saved = 0; ///< bytes the incremental engine did not move
-  u64 clean_swap_skips = 0;  ///< evictions that skipped the D2H entirely
-  u64 preempt_swaps = 0;     ///< whole-context swap-outs on quantum expiry
+/// Counters for the experiments (Figures 7-9 annotate swap counts). One
+/// field list serves both copies: the MemoryManager counts into
+/// BasicMemStats<obs::Counter> (relaxed atomics) and stats() returns the
+/// MemStats snapshot.
+template <typename Count>
+struct BasicMemStats {
+  Count intra_app_swaps{};    ///< launch-triggered evictions of own entries
+  Count inter_app_swaps{};    ///< whole-context evictions for another app
+  Count swapped_entries{};    ///< individual PTEs written back + freed
+  Count swap_bytes{};
+  Count bulk_transfers{};     ///< coalesced host->device materializations
+  Count bounds_rejections{};  ///< bad ops stopped before touching the device
+  Count peer_copies{};        ///< direct GPU-to-GPU migrations (CUDA 4 mode)
+  Count async_writebacks{};   ///< evictions whose D2H overlapped other work
+  Count writeback_fences{};   ///< swap reads that had to await an async drain
+  Count swap_out_bytes{};     ///< bytes actually shipped D2H on the swap path
+  Count swap_in_bytes{};      ///< bytes actually shipped H2D re-materializing
+  Count dirty_bytes_saved{};  ///< bytes the incremental engine did not move
+  Count clean_swap_skips{};   ///< evictions that skipped the D2H entirely
+  Count preempt_swaps{};      ///< whole-context swap-outs on quantum expiry
   // Paged engine (MemoryConfig::paging); all zero in entry-granular mode.
-  u64 page_faults = 0;       ///< pages uploaded synchronously at launch
-  u64 tlb_hits = 0;
-  u64 tlb_misses = 0;
-  u64 prefetched_pages = 0;  ///< pages paged in asynchronously
+  Count page_faults{};        ///< pages uploaded synchronously at launch
+  Count tlb_hits{};
+  Count tlb_misses{};
+  Count prefetched_pages{};   ///< pages paged in asynchronously
   /// Prefetched pages unmapped (evicted or freed) before any launch
   /// touched them: the share of prefetch traffic that bought nothing.
-  u64 prefetch_unused_pages = 0;
+  Count prefetch_unused_pages{};
   // Both engines (an entry-engine entry is one page).
-  u64 page_evictions = 0;    ///< mapped pages freed by victim eviction
+  Count page_evictions{};     ///< mapped pages freed by victim eviction
   /// Entries found with device-dirty bytes outside their mapped pages at a
   /// prepare or page-eviction exit. An invariant: must stay 0.
-  u64 residency_violations = 0;
+  Count residency_violations{};
+
+  /// Calls f("<field>", s.<field>...) once per field, in declaration order.
+  template <typename F, typename... S>
+  static void for_each_field(F&& f, S&... s) {
+    f("intra_app_swaps", s.intra_app_swaps...);
+    f("inter_app_swaps", s.inter_app_swaps...);
+    f("swapped_entries", s.swapped_entries...);
+    f("swap_bytes", s.swap_bytes...);
+    f("bulk_transfers", s.bulk_transfers...);
+    f("bounds_rejections", s.bounds_rejections...);
+    f("peer_copies", s.peer_copies...);
+    f("async_writebacks", s.async_writebacks...);
+    f("writeback_fences", s.writeback_fences...);
+    f("swap_out_bytes", s.swap_out_bytes...);
+    f("swap_in_bytes", s.swap_in_bytes...);
+    f("dirty_bytes_saved", s.dirty_bytes_saved...);
+    f("clean_swap_skips", s.clean_swap_skips...);
+    f("preempt_swaps", s.preempt_swaps...);
+    f("page_faults", s.page_faults...);
+    f("tlb_hits", s.tlb_hits...);
+    f("tlb_misses", s.tlb_misses...);
+    f("prefetched_pages", s.prefetched_pages...);
+    f("prefetch_unused_pages", s.prefetch_unused_pages...);
+    f("page_evictions", s.page_evictions...);
+    f("residency_violations", s.residency_violations...);
+  }
 };
+using MemStats = BasicMemStats<u64>;
 
 /// Memory-manager settings. RuntimeConfig inherits this struct, so a
 /// daemon's config hands it to the MemoryManager verbatim.
@@ -590,30 +622,7 @@ class MemoryManager {
   /// Lock-free virtual-address bump allocator (256-aligned spans).
   std::atomic<u64> va_next_{1ull << 48};
 
-  struct AtomicMemStats {
-    std::atomic<u64> intra_app_swaps{0};
-    std::atomic<u64> inter_app_swaps{0};
-    std::atomic<u64> swapped_entries{0};
-    std::atomic<u64> swap_bytes{0};
-    std::atomic<u64> bulk_transfers{0};
-    std::atomic<u64> bounds_rejections{0};
-    std::atomic<u64> peer_copies{0};
-    std::atomic<u64> async_writebacks{0};
-    std::atomic<u64> writeback_fences{0};
-    std::atomic<u64> swap_out_bytes{0};
-    std::atomic<u64> swap_in_bytes{0};
-    std::atomic<u64> dirty_bytes_saved{0};
-    std::atomic<u64> clean_swap_skips{0};
-    std::atomic<u64> preempt_swaps{0};
-    std::atomic<u64> page_faults{0};
-    std::atomic<u64> tlb_hits{0};
-    std::atomic<u64> tlb_misses{0};
-    std::atomic<u64> prefetched_pages{0};
-    std::atomic<u64> prefetch_unused_pages{0};
-    std::atomic<u64> page_evictions{0};
-    std::atomic<u64> residency_violations{0};
-  };
-  mutable AtomicMemStats stats_;
+  mutable BasicMemStats<obs::Counter> stats_;
 
   /// Inter-application victim directory: contexts with device residency,
   /// keyed by (gpu, last_use_ns, ctx) so victim_candidates() is an in-order

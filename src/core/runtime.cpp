@@ -1,9 +1,9 @@
 #include "core/runtime.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <optional>
 #include <set>
+#include <type_traits>
 
 #include "common/log.hpp"
 #include "common/wire.hpp"
@@ -26,30 +26,10 @@ obs::Histogram& launch_seconds_hist() {
   return h;
 }
 
-obs::Counter& recoveries_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kRuntimeRecoveries);
-  return c;
-}
-
-obs::Counter& offload_fallbacks_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kRuntimeOffloadFallbacks);
-  return c;
-}
-
-obs::Counter& dispatch_lock_contended_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kRuntimeDispatchLockContended);
-  return c;
-}
-
 obs::Histogram& dispatch_lock_wait_hist() {
   static obs::Histogram& h = obs::metrics().histogram(
       obs::names::kRuntimeDispatchLockWaitSeconds, obs::default_seconds_edges());
   return h;
-}
-
-obs::Counter& cluster_migrations_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kClusterMigrations);
-  return c;
 }
 
 obs::Counter& migration_bytes_counter() {
@@ -64,11 +44,6 @@ obs::Counter& migration_precopy_bytes_counter() {
 
 obs::Counter& migration_stop_copy_bytes_counter() {
   static obs::Counter& c = obs::metrics().counter(obs::names::kMigrationStopCopyBytes);
-  return c;
-}
-
-obs::Counter& migration_refused_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kMigrationRefused);
   return c;
 }
 
@@ -178,7 +153,7 @@ void Runtime::serve_channel(std::unique_ptr<transport::MessageChannel> channel) 
     return;
   }
   ++open_connections_;
-  stats_.connections.fetch_add(1, std::memory_order_relaxed);
+  stats_.connections.add(1);
   threads_.emplace_back(rt_->machine().domain(),
                         [this, ch = std::shared_ptr<transport::MessageChannel>(
                                    std::move(channel))]() mutable {
@@ -273,26 +248,11 @@ void Runtime::heartbeat_loop(transport::MessageChannel& channel, ConnectionId co
   }
 }
 
-RuntimeStats Runtime::stats() const {
-  RuntimeStats out;
-  out.connections = stats_.connections.load(std::memory_order_relaxed);
-  out.offloaded_connections = stats_.offloaded_connections.load(std::memory_order_relaxed);
-  out.launches = stats_.launches.load(std::memory_order_relaxed);
-  out.recoveries = stats_.recoveries.load(std::memory_order_relaxed);
-  out.auto_checkpoints = stats_.auto_checkpoints.load(std::memory_order_relaxed);
-  out.swap_retry_backoffs = stats_.swap_retry_backoffs.load(std::memory_order_relaxed);
-  out.offload_fallbacks = stats_.offload_fallbacks.load(std::memory_order_relaxed);
-  out.dispatch_lock_contended = stats_.dispatch_lock_contended.load(std::memory_order_relaxed);
-  out.migrations_out = stats_.migrations_out.load(std::memory_order_relaxed);
-  out.migrations_in = stats_.migrations_in.load(std::memory_order_relaxed);
-  out.migrations_refused = stats_.migrations_refused.load(std::memory_order_relaxed);
-  return out;
-}
+RuntimeStats Runtime::stats() const { return obs::load_fields<RuntimeStats>(stats_); }
 
 void Runtime::timed_lock(ContextLock& lk) const {
   if (lk.try_lock()) return;
-  stats_.dispatch_lock_contended.fetch_add(1, std::memory_order_relaxed);
-  dispatch_lock_contended_counter().add(1);
+  stats_.dispatch_lock_contended.add(1);
   vt::StopWatch watch(rt_->machine().domain());
   lk.lock();
   dispatch_lock_wait_hist().observe(watch.elapsed_seconds());
@@ -300,92 +260,38 @@ void Runtime::timed_lock(ContextLock& lk) const {
 
 void Runtime::publish_metrics() const {
   obs::MetricsRegistry& reg = obs::metrics();
-  const auto gauge = [&](const std::string& name, double v) { reg.gauge(name).set(v); };
+  // Every field of a per-layer stats struct becomes gauge <prefix><field>.
+  const auto publish = [&reg](const std::string& prefix, const auto& stats) {
+    std::remove_cvref_t<decltype(stats)>::for_each_field(
+        [&](const char* field, const auto& value) {
+          reg.gauge(prefix + field).set(static_cast<double>(value));
+        },
+        stats);
+  };
 
   const RuntimeStats rs = stats();
-  const std::string rt_prefix = obs::names::kStatsRuntimePrefix;
-  gauge(rt_prefix + "connections", static_cast<double>(rs.connections));
-  gauge(rt_prefix + "offloaded_connections", static_cast<double>(rs.offloaded_connections));
-  gauge(rt_prefix + "launches", static_cast<double>(rs.launches));
-  gauge(rt_prefix + "recoveries", static_cast<double>(rs.recoveries));
-  gauge(rt_prefix + "auto_checkpoints", static_cast<double>(rs.auto_checkpoints));
-  gauge(rt_prefix + "swap_retry_backoffs", static_cast<double>(rs.swap_retry_backoffs));
-  gauge(rt_prefix + "offload_fallbacks", static_cast<double>(rs.offload_fallbacks));
-  gauge(rt_prefix + "dispatch_lock_contended",
-        static_cast<double>(rs.dispatch_lock_contended));
-  gauge(rt_prefix + "migrations_out", static_cast<double>(rs.migrations_out));
-  gauge(rt_prefix + "migrations_in", static_cast<double>(rs.migrations_in));
-  gauge(rt_prefix + "migrations_refused", static_cast<double>(rs.migrations_refused));
-
-  // Per-node offload-health breakdown: with several daemons co-hosted in
-  // one process (cluster tests, gpuvm_run batches) the "stats.runtime.*"
-  // gauges above reflect whichever node published last; these keep each
+  publish(obs::names::kStatsRuntimePrefix, rs);
+  // Co-hosted daemons (cluster tests, gpuvm_run batches, the chaos harness)
+  // share the process-global registry, so the "stats.runtime.*" gauges above
+  // hold whichever node published last; the per-node copy keeps each
   // node's numbers visible through a single QueryStats.
-  if (!node_name_.empty()) {
-    const std::string prefix = obs::names::kStatsNodePrefix + node_name_ + ".";
-    gauge(prefix + "offloaded_connections", static_cast<double>(rs.offloaded_connections));
-    gauge(prefix + "offload_fallbacks", static_cast<double>(rs.offload_fallbacks));
-    gauge(prefix + "recoveries", static_cast<double>(rs.recoveries));
-    gauge(prefix + "connections", static_cast<double>(rs.connections));
-    gauge(prefix + "migrations_out", static_cast<double>(rs.migrations_out));
-    gauge(prefix + "migrations_in", static_cast<double>(rs.migrations_in));
-    gauge(prefix + "migrations_refused", static_cast<double>(rs.migrations_refused));
-  }
+  if (!node_name_.empty()) publish(obs::names::kStatsNodePrefix + node_name_ + ".", rs);
 
-  const SchedulerStats ss = scheduler_->stats();
-  const std::string sched_prefix = obs::names::kStatsSchedPrefix;
-  gauge(sched_prefix + "binds", static_cast<double>(ss.binds));
-  gauge(sched_prefix + "unbinds", static_cast<double>(ss.unbinds));
-  gauge(sched_prefix + "migrations", static_cast<double>(ss.migrations));
-  gauge(sched_prefix + "requeues", static_cast<double>(ss.requeues));
-  gauge(sched_prefix + "preemptions", static_cast<double>(ss.preemptions));
-  gauge(sched_prefix + "thrash_trips", static_cast<double>(ss.thrash_trips));
-  gauge(sched_prefix + "quantum_ns", scheduler_->current_quantum_seconds() * 1e9);
+  publish(obs::names::kStatsSchedPrefix, scheduler_->stats());
+  reg.gauge(obs::names::kStatsSchedQuantumNs).set(scheduler_->current_quantum_seconds() * 1e9);
 
-  const MemStats ms = mm_->stats();
-  const std::string mm_prefix = obs::names::kStatsMmPrefix;
-  gauge(mm_prefix + "swapped_entries", static_cast<double>(ms.swapped_entries));
-  gauge(obs::names::kStatsMmSwapBytes, static_cast<double>(ms.swap_bytes));
-  gauge(obs::names::kStatsMmIntraAppSwaps, static_cast<double>(ms.intra_app_swaps));
-  gauge(obs::names::kStatsMmInterAppSwaps, static_cast<double>(ms.inter_app_swaps));
-  gauge(mm_prefix + "bulk_transfers", static_cast<double>(ms.bulk_transfers));
-  gauge(mm_prefix + "peer_copies", static_cast<double>(ms.peer_copies));
-  gauge(mm_prefix + "bounds_rejections", static_cast<double>(ms.bounds_rejections));
-  gauge(mm_prefix + "async_writebacks", static_cast<double>(ms.async_writebacks));
-  gauge(mm_prefix + "writeback_fences", static_cast<double>(ms.writeback_fences));
-  gauge(mm_prefix + "swap_out_bytes", static_cast<double>(ms.swap_out_bytes));
-  gauge(mm_prefix + "swap_in_bytes", static_cast<double>(ms.swap_in_bytes));
-  gauge(mm_prefix + "dirty_bytes_saved", static_cast<double>(ms.dirty_bytes_saved));
-  gauge(mm_prefix + "clean_swap_skips", static_cast<double>(ms.clean_swap_skips));
-  gauge(mm_prefix + "preempt_swaps", static_cast<double>(ms.preempt_swaps));
-  gauge(mm_prefix + "page_faults", static_cast<double>(ms.page_faults));
-  gauge(mm_prefix + "tlb_hits", static_cast<double>(ms.tlb_hits));
-  gauge(mm_prefix + "tlb_misses", static_cast<double>(ms.tlb_misses));
-  gauge(mm_prefix + "prefetched_pages", static_cast<double>(ms.prefetched_pages));
-  gauge(mm_prefix + "prefetch_unused_pages", static_cast<double>(ms.prefetch_unused_pages));
-  gauge(mm_prefix + "page_evictions", static_cast<double>(ms.page_evictions));
-  gauge(mm_prefix + "residency_violations", static_cast<double>(ms.residency_violations));
-  gauge(mm_prefix + "shard_contention", static_cast<double>(mm_->shard_contention()));
+  publish(obs::names::kStatsMmPrefix, mm_->stats());
+  reg.gauge(obs::names::kStatsMmShardContention).set(static_cast<double>(mm_->shard_contention()));
 
   const vt::Domain::ClockStats cs = rt_->machine().domain().clock_stats();
-  gauge(obs::names::kStatsVtAdvances, static_cast<double>(cs.advances));
-  gauge(obs::names::kStatsVtEventsDispatched, static_cast<double>(cs.events_dispatched));
-  gauge(obs::names::kStatsVtSleepersPeak, static_cast<double>(cs.sleepers_peak));
+  reg.gauge(obs::names::kStatsVtAdvances).set(static_cast<double>(cs.advances));
+  reg.gauge(obs::names::kStatsVtEventsDispatched).set(static_cast<double>(cs.events_dispatched));
+  reg.gauge(obs::names::kStatsVtSleepersPeak).set(static_cast<double>(cs.sleepers_peak));
 
   for (const GpuId gpu : rt_->machine().all_gpus()) {
     const sim::SimGpu* dev = rt_->machine().gpu(gpu);
     if (dev == nullptr) continue;
-    const sim::GpuStats gs = dev->stats();
-    const std::string prefix = "stats.gpu" + std::to_string(gpu.value) + ".";
-    gauge(prefix + "mallocs", static_cast<double>(gs.mallocs));
-    gauge(prefix + "frees", static_cast<double>(gs.frees));
-    gauge(prefix + "kernels_launched", static_cast<double>(gs.kernels_launched));
-    gauge(prefix + "consolidated_kernels", static_cast<double>(gs.consolidated_kernels));
-    gauge(prefix + "bytes_to_device", static_cast<double>(gs.bytes_to_device));
-    gauge(prefix + "bytes_from_device", static_cast<double>(gs.bytes_from_device));
-    gauge(prefix + "failed_ops", static_cast<double>(gs.failed_ops));
-    gauge(prefix + "compute_busy_seconds", gs.compute_busy_seconds);
-    gauge(prefix + "copy_busy_seconds", gs.copy_busy_seconds);
+    publish(obs::names::kStatsGpuPrefix + std::to_string(gpu.value) + ".", dev->stats());
   }
 }
 
@@ -490,7 +396,7 @@ void Runtime::connection_loop(transport::MessageChannel& channel) {
                                   obs::kOffloadTidBase + hello_msg->connection.value);
               }
             }
-            stats_.offloaded_connections.fetch_add(1, std::memory_order_relaxed);
+            stats_.offloaded_connections.add(1);
             channel.send(std::move(*reply));
             offload_proxy_loop(channel, peer);
             proxied = true;
@@ -501,8 +407,7 @@ void Runtime::connection_loop(transport::MessageChannel& channel) {
       if (proxied) return;
       // Peer unreachable: degrade gracefully by servicing the connection
       // locally instead of abandoning the application.
-      stats_.offload_fallbacks.fetch_add(1, std::memory_order_relaxed);
-      offload_fallbacks_counter().add(1);
+      stats_.offload_fallbacks.add(1);
       log::info("runtime: offload peer unreachable, serving connection locally");
     }
   }
@@ -710,8 +615,7 @@ Status Runtime::apply_migrate_resume(Context& ctx, const Message& msg) {
     const Status s = mm_->apply_migration_delta(ctx.id, resume->delta);
     if (!ok(s)) return s;
   }
-  // Execution state: registered symbols, module handles, and any half-built
-  // launch (ConfigureCall + SetupArguments without the Launch yet).
+  // Execution state: registered symbols and module handles.
   for (const transport::MigrateFunction& fn : resume->functions) {
     ctx.functions[fn.handle] = fn.name;
   }
@@ -719,22 +623,7 @@ Status Runtime::apply_migrate_resume(Context& ctx, const Message& msg) {
   ctx.next_module = std::max(ctx.next_module, resume->next_module);
   ctx.pinned = ctx.pinned || resume->pinned;
   ctx.gpu_time_used_seconds += resume->gpu_time_used_seconds;
-  if (resume->has_pending_config) {
-    if (resume->pending_config.size() != sizeof(sim::LaunchConfig)) {
-      return Status::ErrorProtocol;
-    }
-    sim::LaunchConfig config;
-    std::memcpy(&config, resume->pending_config.data(), sizeof(config));
-    ctx.pending_config = config;
-    ctx.pending_args.clear();
-    for (const transport::MigrateArg& arg : resume->pending_args) {
-      sim::KernelArg ka;
-      ka.kind = static_cast<sim::KernelArg::Kind>(arg.kind);
-      ka.bits = arg.bits;
-      ctx.pending_args.push_back(ka);
-    }
-  }
-  stats_.migrations_in.fetch_add(1, std::memory_order_relaxed);
+  stats_.migrations_in.add(1);
   obs::emit_instant("migrate-resume", "migrate", obs::kRuntimePid, ctx.id.value,
                     ctx.id.value);
   log::info("runtime: resumed migrated ctx %llu (%zu entries of delta)",
@@ -752,8 +641,7 @@ StatusOr<MigrationReport> Runtime::migrate_context(
   if (vt::Domain::current() == nullptr) attach.emplace(dom);
 
   const auto refuse = [&](Status s) -> StatusOr<MigrationReport> {
-    stats_.migrations_refused.fetch_add(1, std::memory_order_relaxed);
-    migration_refused_counter().add(1);
+    stats_.migrations_refused.add(1);
     return s;
   };
 
@@ -948,18 +836,6 @@ StatusOr<MigrationReport> Runtime::migrate_context(
   resume.next_module = ctx->next_module;
   resume.pinned = ctx->pinned;
   resume.gpu_time_used_seconds = ctx->gpu_time_used_seconds;
-  if (ctx->pending_config.has_value()) {
-    resume.has_pending_config = true;
-    resume.pending_config.resize(sizeof(sim::LaunchConfig));
-    std::memcpy(resume.pending_config.data(), &*ctx->pending_config,
-                sizeof(sim::LaunchConfig));
-    for (const sim::KernelArg& arg : ctx->pending_args) {
-      transport::MigrateArg ma;
-      ma.kind = static_cast<u8>(arg.kind);
-      ma.bits = arg.bits;
-      resume.pending_args.push_back(ma);
-    }
-  }
   transport::Message m;
   m.op = Opcode::MigrateResume;
   m.connection = conn;
@@ -990,8 +866,7 @@ StatusOr<MigrationReport> Runtime::migrate_context(
   report.stop_copy_seconds = stop_watch.elapsed_seconds();
   ctx->lock.unlock();
 
-  stats_.migrations_out.fetch_add(1, std::memory_order_relaxed);
-  cluster_migrations_counter().add(1);
+  stats_.migrations_out.add(1);
   const u64 total = report.precopy_bytes + report.stop_copy_bytes;
   migration_bytes_counter().add(total);
   migration_precopy_bytes_counter().add(report.precopy_bytes);
@@ -1139,20 +1014,6 @@ Message Runtime::handle(Context& ctx, transport::MessageChannel& channel, const 
     }
 
     // ---- Execution -----------------------------------------------------------
-    case Opcode::ConfigureCall: {
-      ctx.pending_config = r.get<sim::LaunchConfig>();
-      ctx.pending_args.clear();
-      return reply(r.ok() ? Status::Ok : Status::ErrorProtocol);
-    }
-    case Opcode::SetupArgument: {
-      if (!ctx.pending_config.has_value()) return reply(Status::ErrorInvalidConfiguration);
-      sim::KernelArg arg;
-      arg.kind = static_cast<sim::KernelArg::Kind>(r.get<u8>());
-      arg.bits = r.get<u64>();
-      if (!r.ok()) return reply(Status::ErrorProtocol);
-      ctx.pending_args.push_back(arg);
-      return reply(Status::Ok);
-    }
     case Opcode::Launch: {
       const std::string name = r.get_string();
       const auto config = r.get<sim::LaunchConfig>();
@@ -1302,7 +1163,7 @@ Status Runtime::do_launch(Context& ctx, transport::MessageChannel& channel,
   }
 
   vt::Domain& dom = rt_->machine().domain();
-  stats_.launches.fetch_add(1, std::memory_order_relaxed);
+  stats_.launches.add(1);
   // End-to-end launch latency: queueing for a vGPU, materialization and
   // swaps, the kernel itself, any recovery replays.
   obs::SpanScope launch_span(name, "launch", obs::kRuntimePid, ctx.id.value, ctx.id.value);
@@ -1310,6 +1171,12 @@ Status Runtime::do_launch(Context& ctx, transport::MessageChannel& channel,
   const auto locker = [this](ContextLock& lk) { timed_lock(lk); };
 
   int recovery_attempts = 0;
+  // Back-off attempts in a row that began with none of this context's
+  // memory on the device and found no other context's memory there, nor a
+  // hole the request fits: only context slabs, which never move. One such
+  // attempt could still have seen a holder that has just left; two in a
+  // row mean waiting cannot help.
+  int hopeless_backoffs = 0;
   for (;;) {
     // Delayed/dynamic binding: a vGPU is held only for the duration of the
     // GPU phase. acquire() is idempotent when already bound.
@@ -1317,8 +1184,7 @@ Status Runtime::do_launch(Context& ctx, transport::MessageChannel& channel,
     if (!acquired) return acquired.status();
     const Scheduler::Binding binding = acquired.value();
     if (binding.recovered_from_failure) {
-      stats_.recoveries.fetch_add(1, std::memory_order_relaxed);
-      recoveries_counter().add(1);
+      stats_.recoveries.add(1);
       obs::emit_instant("recovery-replay", "recover", obs::kRuntimePid, ctx.id.value,
                         ctx.id.value);
     }
@@ -1328,6 +1194,7 @@ Status Runtime::do_launch(Context& ctx, transport::MessageChannel& channel,
     Status result = Status::Ok;
     {
       DispatchGuard ctx_lock(ctx.lock, locker);
+      const bool started_empty = mm_->resident_bytes(ctx.id, binding.gpu) == 0;
       auto prep = mm_->prepare_launch(ctx.id, binding.gpu, binding.client, args);
       switch (prep.outcome) {
         case MemoryManager::PrepareOutcome::WouldBlock: {
@@ -1336,16 +1203,22 @@ Status Runtime::do_launch(Context& ctx, transport::MessageChannel& channel,
             result = Status::Ok;
             break;
           }
-          if (log::enabled(log::Level::Debug)) {
-            const sim::SimGpu* dev = rt_->machine().gpu(binding.gpu);
-            log::debug("swap backoff: ctx %llu needs %llu bytes on gpu %llu "
-                       "(free %llu, largest hole %llu)",
-                       static_cast<unsigned long long>(ctx.id.value),
-                       static_cast<unsigned long long>(prep.needed_bytes),
-                       static_cast<unsigned long long>(binding.gpu.value),
-                       static_cast<unsigned long long>(dev ? dev->free_bytes() : 0),
-                       static_cast<unsigned long long>(dev ? dev->largest_free_block() : 0));
-          }
+          const sim::SimGpu* dev = rt_->machine().gpu(binding.gpu);
+          const u64 largest_hole = dev != nullptr ? dev->largest_free_block() : 0;
+          log::debug("swap backoff: ctx %llu needs %llu bytes on gpu %llu "
+                     "(free %llu, largest hole %llu)",
+                     static_cast<unsigned long long>(ctx.id.value),
+                     static_cast<unsigned long long>(prep.needed_bytes),
+                     static_cast<unsigned long long>(binding.gpu.value),
+                     static_cast<unsigned long long>(dev ? dev->free_bytes() : 0),
+                     static_cast<unsigned long long>(largest_hole));
+          // A request that fits a hole failed transiently (an allocation
+          // fault pulse), not for want of space: it never counts.
+          const bool others_absent =
+              mm_->resident_bytes_on(binding.gpu) == mm_->resident_bytes(ctx.id, binding.gpu);
+          const bool hopeless =
+              started_empty && others_absent && prep.needed_bytes > largest_hole;
+          hopeless_backoffs = hopeless ? hopeless_backoffs + 1 : 0;
           next = Next::BackoffRetry;
           break;
         }
@@ -1370,8 +1243,7 @@ Status Runtime::do_launch(Context& ctx, transport::MessageChannel& channel,
             next = Next::RebindAfterFailure;
             ++recovery_attempts;
             obs::emit_instant(why, "recover", obs::kRuntimePid, ctx.id.value, ctx.id.value);
-            recoveries_counter().add(1);
-            stats_.recoveries.fetch_add(1, std::memory_order_relaxed);
+                  stats_.recoveries.add(1);
           };
           if (result == Status::ErrorDeviceUnavailable) {
             replay_elsewhere("kernel-lost");
@@ -1389,7 +1261,7 @@ Status Runtime::do_launch(Context& ctx, transport::MessageChannel& channel,
               replay_elsewhere("checkpoint-lost");
               break;
             }
-            stats_.auto_checkpoints.fetch_add(1, std::memory_order_relaxed);
+            stats_.auto_checkpoints.add(1);
           }
           next = Next::Done;
           break;
@@ -1429,6 +1301,7 @@ Status Runtime::do_launch(Context& ctx, transport::MessageChannel& channel,
         }
         // Either an eviction freed memory (stay bound and retry), or the
         // device died (binding is stale; acquire() re-binds elsewhere).
+        hopeless_backoffs = 0;
         continue;
       }
       case Next::BackoffRetry: {
@@ -1443,7 +1316,8 @@ Status Runtime::do_launch(Context& ctx, transport::MessageChannel& channel,
           (void)mm_->swap_context(ctx.id);
         }
         scheduler_->release(ctx);
-        stats_.swap_retry_backoffs.fetch_add(1, std::memory_order_relaxed);
+        stats_.swap_retry_backoffs.add(1);
+        if (hopeless_backoffs == 2) return Status::ErrorMemoryAllocation;
         dom.sleep_for(vt::from_millis(400));
         continue;
       }

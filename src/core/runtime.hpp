@@ -38,6 +38,7 @@
 #include "core/memory_manager.hpp"
 #include "core/scheduler.hpp"
 #include "cudart/cudart.hpp"
+#include "obs/metrics.hpp"
 #include "transport/channel.hpp"
 
 namespace gpuvm::core {
@@ -84,21 +85,43 @@ struct RuntimeConfig : MemoryConfig {
   u32 caps_mask = protocol::caps::kAll;
 };
 
-struct RuntimeStats {
-  u64 connections = 0;
-  u64 offloaded_connections = 0;
-  u64 launches = 0;
-  u64 recoveries = 0;        ///< device calls replayed after a GPU failure
-  u64 auto_checkpoints = 0;
-  u64 swap_retry_backoffs = 0;  ///< launch attempts that unbound and retried
-  u64 offload_fallbacks = 0;    ///< offload attempts that fell back to local
+/// Per-daemon event counts. One field list serves both copies: the Runtime
+/// counts into BasicRuntimeStats<obs::Counter> (relaxed atomics) and
+/// stats() returns the RuntimeStats snapshot; stats() and publish_metrics()
+/// walk for_each_field rather than naming the fields again.
+template <typename Count>
+struct BasicRuntimeStats {
+  Count connections{};
+  Count offloaded_connections{};
+  Count launches{};
+  Count recoveries{};           ///< device calls replayed after a GPU failure
+  Count auto_checkpoints{};
+  Count swap_retry_backoffs{};  ///< launch attempts that unbound and retried
+  Count offload_fallbacks{};    ///< offload attempts that fell back to local
                                 ///< servicing (peer unreachable mid-handshake)
-  u64 dispatch_lock_contended = 0;  ///< dispatch-lock acquisitions that waited
-  u64 migrations_out = 0;      ///< contexts live-migrated to a peer node
-  u64 migrations_in = 0;       ///< contexts resumed from a peer's migration
-  u64 migrations_refused = 0;  ///< attempts aborted before commit (no kMigrate
+  Count dispatch_lock_contended{};  ///< dispatch-lock acquisitions that waited
+  Count migrations_out{};      ///< contexts live-migrated to a peer node
+  Count migrations_in{};       ///< contexts resumed from a peer's migration
+  Count migrations_refused{};  ///< attempts aborted before commit (no kMigrate
                                ///< peer, busy context, transport failure)
+
+  /// Calls f("<field>", s.<field>...) once per field, in declaration order.
+  template <typename F, typename... S>
+  static void for_each_field(F&& f, S&... s) {
+    f("connections", s.connections...);
+    f("offloaded_connections", s.offloaded_connections...);
+    f("launches", s.launches...);
+    f("recoveries", s.recoveries...);
+    f("auto_checkpoints", s.auto_checkpoints...);
+    f("swap_retry_backoffs", s.swap_retry_backoffs...);
+    f("offload_fallbacks", s.offload_fallbacks...);
+    f("dispatch_lock_contended", s.dispatch_lock_contended...);
+    f("migrations_out", s.migrations_out...);
+    f("migrations_in", s.migrations_in...);
+    f("migrations_refused", s.migrations_refused...);
+  }
 };
+using RuntimeStats = BasicRuntimeStats<u64>;
 
 /// Knobs for one live-migration attempt (Runtime::migrate_context).
 struct MigrationOptions {
@@ -171,10 +194,12 @@ class Runtime {
   /// seq and the p50 window per report.
   transport::LoadSnapshot load_snapshot() const;
 
-  /// Publishes the per-layer stats structs (runtime, scheduler, memory
-  /// manager, every GPU) into the global obs registry as "stats.*" gauges.
-  /// Called right before a registry snapshot (QueryStats, --stats dumps) so
-  /// the snapshot agrees with stats().
+  /// Publishes every field of the per-layer stats structs (runtime,
+  /// scheduler, memory manager, every GPU) into the global obs registry as
+  /// "stats.<layer>.<field>" gauges, the runtime's also as
+  /// "stats.node.<name>.<field>" once the node is named. Called right
+  /// before a registry snapshot (QueryStats, --stats dumps) so the snapshot
+  /// agrees with stats().
   void publish_metrics() const;
 
   /// Blocks until all currently-open connections have finished (used by
@@ -240,9 +265,9 @@ class Runtime {
 
   std::shared_ptr<Context> find_context(ContextId id);
 
-  /// Locks `lk`, recording wait time and contention in the obs registry
-  /// when the lock was busy. Used for both per-context locks (Sharded) and
-  /// the daemon-wide lock (GlobalLock).
+  /// Locks `lk`; when the lock was busy, counts the contention in
+  /// RuntimeStats and records the wait in the obs registry. Used for both
+  /// per-context locks (Sharded) and the daemon-wide lock (GlobalLock).
   void timed_lock(ContextLock& lk) const;
 
   cudart::CudaRt* rt_;
@@ -277,20 +302,7 @@ class Runtime {
 
   std::function<std::unique_ptr<transport::MessageChannel>()> peer_factory_;
 
-  struct AtomicRuntimeStats {
-    std::atomic<u64> connections{0};
-    std::atomic<u64> offloaded_connections{0};
-    std::atomic<u64> launches{0};
-    std::atomic<u64> recoveries{0};
-    std::atomic<u64> auto_checkpoints{0};
-    std::atomic<u64> swap_retry_backoffs{0};
-    std::atomic<u64> offload_fallbacks{0};
-    std::atomic<u64> dispatch_lock_contended{0};
-    std::atomic<u64> migrations_out{0};
-    std::atomic<u64> migrations_in{0};
-    std::atomic<u64> migrations_refused{0};
-  };
-  mutable AtomicRuntimeStats stats_;
+  mutable BasicRuntimeStats<obs::Counter> stats_;
 };
 
 }  // namespace gpuvm::core

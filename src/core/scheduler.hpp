@@ -48,6 +48,17 @@ struct SchedulerStats {
   u64 preemptions = 0;  ///< bindings revoked by quantum expiry (victim's
                         ///< dirty intervals swapped out, context re-queues)
   u64 thrash_trips = 0; ///< anti-thrashing governor quantum escalations
+
+  /// Calls f("<field>", s.<field>...) once per field, in declaration order.
+  template <typename F, typename... S>
+  static void for_each_field(F&& f, S&... s) {
+    f("binds", s.binds...);
+    f("unbinds", s.unbinds...);
+    f("migrations", s.migrations...);
+    f("requeues", s.requeues...);
+    f("preemptions", s.preemptions...);
+    f("thrash_trips", s.thrash_trips...);
+  }
 };
 
 /// The scheduling knobs, in one place: node-level binding policy, the
@@ -309,7 +320,6 @@ class Scheduler {
   /// Governor window baseline (swap traffic / binds at the last window).
   u64 window_swap_bytes_ = 0;
   u64 window_binds_ = 0;
-  u64 governor_trips_seen_ = 0;
   vt::Thread pump_;  // last member: joins before the rest tears down
 };
 

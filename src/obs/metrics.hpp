@@ -2,13 +2,14 @@
 // the whole stack.
 //
 // The four per-layer stats structs (RuntimeStats, SchedulerStats, MemStats,
-// GpuStats) are precise but disconnected: each layer snapshots its own and
-// nothing ties them together. The registry is the unifying layer — hot
-// paths update live counters/histograms through cached handles (queue-wait,
-// launch latency, swap bytes), the stats structs are published into it as
-// gauges at snapshot time, and one MetricsSnapshot covers everything. A
-// snapshot serializes over the wire protocol (the QueryStats op) so a
-// client can poll a running daemon.
+// GpuStats) are where a layer counts its events, per instance; each lists
+// its fields once, in a `for_each_field` visitor. The registry is the
+// unifying layer -- hot paths update histograms and process-level counters
+// through cached handles (queue-wait, launch latency, transport), the stats
+// structs are published into it as `stats.<layer>.<field>` gauges at
+// snapshot time, and one MetricsSnapshot covers everything. A snapshot
+// serializes over the wire protocol (the QueryStats op) so a client can
+// poll a running daemon.
 //
 // Handle discipline: counter()/gauge()/histogram() take a mutex and do a
 // map lookup — call them once at setup and cache the returned reference
@@ -154,5 +155,16 @@ class MetricsRegistry {
 /// The process-global registry (Prometheus-default-registry idiom). Always
 /// available; instrumentation cost is one atomic op per update.
 MetricsRegistry& metrics();
+
+/// Reads a live per-layer stats struct -- its fields are Counters the layer
+/// bumps -- into the u64 snapshot of the same template. Both walk the one
+/// field list, `Snapshot::for_each_field`.
+template <typename Snapshot, typename Live>
+Snapshot load_fields(const Live& live) {
+  Snapshot out;
+  Snapshot::for_each_field(
+      [](const char*, u64& to, const Counter& from) { to = from.value(); }, out, live);
+  return out;
+}
 
 }  // namespace gpuvm::obs

@@ -51,6 +51,22 @@ struct GpuStats {
   /// experiment duration for a utilization figure.
   double compute_busy_seconds = 0.0;
   double copy_busy_seconds = 0.0;
+
+  /// Calls f("<field>", s.<field>...) once per field, in declaration order.
+  template <typename F, typename... S>
+  static void for_each_field(F&& f, S&... s) {
+    f("mallocs", s.mallocs...);
+    f("frees", s.frees...);
+    f("kernels_launched", s.kernels_launched...);
+    f("consolidated_kernels", s.consolidated_kernels...);
+    f("bytes_to_device", s.bytes_to_device...);
+    f("bytes_from_device", s.bytes_from_device...);
+    f("failed_ops", s.failed_ops...);
+    f("injected_failures", s.injected_failures...);
+    f("alloc_faults", s.alloc_faults...);
+    f("compute_busy_seconds", s.compute_busy_seconds...);
+    f("copy_busy_seconds", s.copy_busy_seconds...);
+  }
 };
 
 class SimGpu {

@@ -271,8 +271,9 @@ int main(int argc, char** argv) {
           std::printf("%-48s %.0f\n", v.name.c_str(), v.gauge);
         }
         // Offload health: the per-node "stats.node.<name>.*" gauges a
-        // cluster daemon publishes (offloaded connections, local fallbacks,
-        // recoveries). A stand-alone daemon with no node identity has none.
+        // cluster daemon publishes (its whole RuntimeStats: offloaded
+        // connections, local fallbacks, recoveries, migrations). A
+        // stand-alone daemon with no node identity has none.
         bool header = false;
         for (const auto& v : snap.value().values) {
           if (v.name.rfind("stats.node.", 0) != 0) continue;

@@ -262,13 +262,6 @@ std::vector<u8> encode_migrate_resume(const MigrateResumePayload& resume) {
   w.put<u64>(resume.next_module);
   w.put<u8>(resume.pinned ? 1 : 0);
   w.put<double>(resume.gpu_time_used_seconds);
-  w.put<u8>(resume.has_pending_config ? 1 : 0);
-  w.put_bytes(resume.pending_config);
-  w.put<u64>(resume.pending_args.size());
-  for (const MigrateArg& arg : resume.pending_args) {
-    w.put<u8>(arg.kind);
-    w.put<u64>(arg.bits);
-  }
   return w.take();
 }
 
@@ -294,19 +287,6 @@ StatusOr<MigrateResumePayload> decode_migrate_resume(std::span<const u8> payload
   resume.next_module = r.get<u64>();
   resume.pinned = r.get<u8>() != 0;
   resume.gpu_time_used_seconds = r.get<double>();
-  resume.has_pending_config = r.get<u8>() != 0;
-  auto config = r.get_bytes();
-  if (!r.ok()) return Status::ErrorProtocol;
-  resume.pending_config.assign(config.begin(), config.end());
-  const u64 args = r.get<u64>();
-  if (!r.ok() || args > (1u << 16)) return Status::ErrorProtocol;
-  resume.pending_args.reserve(args);
-  for (u64 i = 0; i < args; ++i) {
-    MigrateArg arg;
-    arg.kind = r.get<u8>();
-    arg.bits = r.get<u64>();
-    resume.pending_args.push_back(arg);
-  }
   if (!r.ok()) return Status::ErrorProtocol;
   return resume;
 }

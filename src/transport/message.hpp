@@ -37,16 +37,12 @@ enum class Opcode : u16 {
   MemcpyD2H = 33,
   MemcpyD2D = 34,
   // Execution
-  ConfigureCall = 40,
-  SetupArgument = 41,
   Launch = 42,
   Synchronize = 43,
   GetLastError = 44,
   // gpuvm runtime extensions
   RegisterNested = 50,   ///< declare a nested data structure (paper's API)
   Checkpoint = 51,       ///< explicit user checkpoint
-  // Inter-node offloading control
-  OffloadConnection = 60,
   // Observability
   QueryStats = 70,  ///< returns a MetricsSnapshot of the daemon's registry
   // Load telemetry (protocol v3, gated by caps::kQueryLoad)
@@ -198,8 +194,8 @@ StatusOr<i64> decode_query_load(std::span<const u8> payload);
 // (export_image: a delta shipping every entry's validated bytes); later
 // rounds carry dirty-interval deltas collected while the job kept running.
 // The final MigrateResume carries the last delta plus everything the target
-// needs to impersonate the context: registered functions, modules, pending
-// launch state and accounting.
+// needs to impersonate the context: registered functions, modules and
+// accounting.
 
 struct MigrateChunkPayload {
   u32 round = 0;          ///< 0 = the sparse image, >= 1 = a pre-copy delta
@@ -215,12 +211,6 @@ struct MigrateFunction {
   std::string name;
 };
 
-/// One buffered SetupArgument of an in-flight ConfigureCall.
-struct MigrateArg {
-  u8 kind = 0;   ///< sim::KernelArg::Kind numeric value
-  u64 bits = 0;  ///< raw argument bits (pointer value or scalar)
-};
-
 struct MigrateResumePayload {
   std::vector<u8> delta;  ///< final stop-and-copy migration delta
   std::vector<MigrateFunction> functions;
@@ -228,10 +218,6 @@ struct MigrateResumePayload {
   u64 next_module = 1;
   bool pinned = false;
   double gpu_time_used_seconds = 0.0;
-  /// In-flight launch configuration (ConfigureCall without a Launch yet).
-  bool has_pending_config = false;
-  std::vector<u8> pending_config;  ///< raw sim::LaunchConfig bytes
-  std::vector<MigrateArg> pending_args;
 };
 
 std::vector<u8> encode_migrate_resume(const MigrateResumePayload& resume);

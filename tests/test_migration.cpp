@@ -10,8 +10,11 @@
 // unmigrated, including under chaos seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <string>
+#include <type_traits>
 #include <span>
 #include <vector>
 
@@ -68,7 +71,16 @@ namespace {
 // capabilities to emulate an older peer.
 class MigrationPairTest : public ::testing::Test {
  protected:
-  explicit MigrationPairTest(u32 target_caps_mask = protocol::caps::kAll)
+  static RuntimeConfig pair_config() {
+    RuntimeConfig config;
+    config.scheduler.vgpus_per_device = 2;
+    config.scheduler.device_wait_grace_seconds = 0.25;
+    config.auto_checkpoint_after_kernel_seconds = 1e-9;
+    return config;
+  }
+
+  explicit MigrationPairTest(u32 target_caps_mask = protocol::caps::kAll,
+                             const RuntimeConfig& config = pair_config())
       : guard_(dom_),
         source_machine_(dom_, sim::SimParams{1}),
         target_machine_(dom_, sim::SimParams{1}) {
@@ -80,10 +92,6 @@ class MigrationPairTest : public ::testing::Test {
                                                   cudart::CudaRtConfig{4 * 1024, 8});
     target_rt_ = std::make_unique<cudart::CudaRt>(target_machine_,
                                                   cudart::CudaRtConfig{4 * 1024, 8});
-    RuntimeConfig config;
-    config.scheduler.vgpus_per_device = 2;
-    config.scheduler.device_wait_grace_seconds = 0.25;
-    config.auto_checkpoint_after_kernel_seconds = 1e-9;
     source_ = std::make_unique<Runtime>(*source_rt_, config);
     RuntimeConfig target_config = config;
     target_config.caps_mask = target_caps_mask;
@@ -131,7 +139,6 @@ TEST_F(MigrationPairTest, IdleJobConvergesAndStopCopyShipsAlmostNothing) {
 
   const u64 bytes_before = counter_now(obs::names::kMigrationBytes);
   const u64 stop_before = counter_now(obs::names::kMigrationStopCopyBytes);
-  const u64 cluster_before = counter_now(obs::names::kClusterMigrations);
 
   auto report = source_->migrate_context(ContextId{1}, peer_factory());
   ASSERT_TRUE(report.has_value()) << to_string(report.status());
@@ -150,7 +157,6 @@ TEST_F(MigrationPairTest, IdleJobConvergesAndStopCopyShipsAlmostNothing) {
             report->precopy_bytes + report->stop_copy_bytes);
   EXPECT_EQ(counter_now(obs::names::kMigrationStopCopyBytes) - stop_before,
             report->stop_copy_bytes);
-  EXPECT_EQ(counter_now(obs::names::kClusterMigrations) - cluster_before, 1u);
   EXPECT_EQ(source_->stats().migrations_out, 1u);
   EXPECT_EQ(target_->stats().migrations_in, 1u);
 
@@ -249,14 +255,12 @@ TEST_F(MigrationV3PeerTest, OldPeerRefusedGracefullyJobContinuesLocally) {
   std::vector<u32> mirror(elems, 5u);
   ASSERT_EQ(api.memcpy_h2d(alloc.value(), std::as_bytes(std::span(mirror))), Status::Ok);
 
-  const u64 refused_before = counter_now(obs::names::kMigrationRefused);
   auto report = source_->migrate_context(ContextId{1}, peer_factory());
   ASSERT_FALSE(report.has_value());
   EXPECT_EQ(report.status(), Status::ErrorNotSupported);
   EXPECT_EQ(source_->stats().migrations_out, 0u);
   EXPECT_EQ(source_->stats().migrations_refused, 1u);
   EXPECT_EQ(target_->stats().migrations_in, 0u);
-  EXPECT_EQ(counter_now(obs::names::kMigrationRefused) - refused_before, 1u);
 
   // The job never left: memory still local, calls still serviced here.
   EXPECT_GT(source_->memory().naive_image_bytes(ContextId{1}), 0u);
@@ -269,6 +273,88 @@ TEST_F(MigrationV3PeerTest, OldPeerRefusedGracefullyJobContinuesLocally) {
                            elems * sizeof(u32)),
             Status::Ok);
   EXPECT_EQ(back, mirror);
+}
+
+// ---------------------------------------------------------------------------
+// Published stats: the per-layer stats structs are the only counters, and
+// every field is published once, as stats.<layer>.<field>.
+
+class PublishedStatsTest : public MigrationPairTest {
+ protected:
+  static RuntimeConfig paged_tq_config() {
+    RuntimeConfig config = pair_config();
+    config.paging = true;
+    config.scheduler.policy = "tq";
+    return config;
+  }
+  PublishedStatsTest() : MigrationPairTest(protocol::caps::kAll, paged_tq_config()) {}
+};
+
+TEST_F(PublishedStatsTest, EveryFieldPublishedOnceAfterPagedPreemptedMigratedRun) {
+  source_->set_node_identity(1, "src");
+  FrontendApi api(source_->connect());
+  ASSERT_TRUE(api.connected());
+  ASSERT_EQ(api.register_kernels({"mig_step"}), Status::Ok);
+  const u64 elems = 32 * 1024;  // 128 KiB: two 64 KiB pages
+  auto alloc = api.malloc(elems * sizeof(u32));
+  ASSERT_TRUE(alloc.has_value());
+  std::vector<u32> data(elems, 9u);
+  ASSERT_EQ(api.memcpy_h2d(alloc.value(), std::as_bytes(std::span(data))), Status::Ok);
+  ASSERT_EQ(api.launch("mig_step", grid_for(elems),
+                       {sim::KernelArg::dev(alloc.value()), sim::KernelArg::i64v(5)}),
+            Status::Ok);
+  auto preempted = source_->preempt_now();
+  ASSERT_TRUE(preempted.has_value()) << to_string(preempted.status());
+  EXPECT_EQ(preempted.value(), 1);
+  auto report = source_->migrate_context(ContextId{1}, peer_factory());
+  ASSERT_TRUE(report.has_value()) << to_string(report.status());
+
+  source_->publish_metrics();
+  const obs::MetricsSnapshot snap = obs::metrics().snapshot();
+  // Walks the struct's own field list: each field appears under exactly one
+  // name with the struct's value, and the walk covers the whole struct.
+  const auto expect_published = [&snap](const std::string& prefix, const auto& stats) {
+    using Stats = std::remove_cvref_t<decltype(stats)>;
+    size_t walked_bytes = 0;
+    Stats::for_each_field(
+        [&](const char* field, const auto& value) {
+          walked_bytes += sizeof(value);
+          const std::string name = prefix + field;
+          EXPECT_EQ(std::count_if(snap.values.begin(), snap.values.end(),
+                                  [&](const obs::MetricValue& v) { return v.name == name; }),
+                    1)
+              << name;
+          EXPECT_EQ(snap.gauge_value(name), static_cast<double>(value)) << name;
+        },
+        stats);
+    EXPECT_EQ(walked_bytes, sizeof(Stats)) << prefix << "*: for_each_field misses a field";
+  };
+  const RuntimeStats rs = source_->stats();
+  const SchedulerStats ss = source_->scheduler().stats();
+  const MemStats ms = source_->memory().stats();
+  EXPECT_EQ(rs.migrations_out, 1u);
+  EXPECT_GE(ss.preemptions, 1u);
+  EXPECT_GT(ms.tlb_misses, 0u) << "the run must exercise the paged engine";
+  expect_published("stats.runtime.", rs);
+  expect_published("stats.node.src.", rs);
+  expect_published("stats.sched.", ss);
+  expect_published("stats.mm.", ms);
+  const std::string gpu_prefix = "stats.gpu" + std::to_string(source_gpu_.value) + ".";
+  expect_published(gpu_prefix, source_machine_.gpu(source_gpu_)->stats());
+  // The two GpuStats fields no gauge carried before the field walk.
+  EXPECT_NE(snap.find(gpu_prefix + "alloc_faults"), nullptr);
+  EXPECT_NE(snap.find(gpu_prefix + "injected_failures"), nullptr);
+
+  // No event is counted a second time under a registry name.
+  for (const char* retired :
+       {"runtime.recoveries", "runtime.offload_fallbacks", "runtime.dispatch_lock_contended",
+        "cluster.migrations", "migration.refused", "mm.async_writebacks",
+        "mm.writeback_fences", "mm.dirty_bytes_saved", "mm.swap_in_bytes", "mm.page_faults",
+        "mm.tlb_hits", "mm.tlb_misses", "mm.prefetched_pages", "mm.page_evictions",
+        "sched.requeues", "sched.migrations", "sched.preemptions", "sched.thrash_trips",
+        "sched.quantum_ns"}) {
+    EXPECT_EQ(snap.find(retired), nullptr) << retired << " is registered";
+  }
 }
 
 // ---------------------------------------------------------------------------

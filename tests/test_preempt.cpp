@@ -125,7 +125,7 @@ TEST(PreemptionDifferentialTest, PreemptedRunMatchesUnpreemptedByteForByte) {
 TEST(PreemptionDeterminismTest, TqChaosSoakReplaysBitIdentical) {
   // Random fault plans plus forced preempt sweeps under TQ: two runs of
   // the same config must match bit-for-bit (outcomes, makespan, event log,
-  // counters -- including sched.preemptions). CI extends this sweep to 20
+  // counters -- including preemptions). CI extends this sweep to 20
   // seeds under ASan/TSan; three seeds keep the tier-1 suite fast.
   for (const u64 seed : {3ull, 9ull, 17ull}) {
     chaos::ScenarioConfig config = contended_scenario(seed);

@@ -106,12 +106,17 @@ TEST_F(ProtocolTest, MalformedLengthPrefixInH2DIsSafe) {
   EXPECT_EQ(call(*ch, Opcode::MemcpyH2D, w.take()), Status::ErrorProtocol);
 }
 
-TEST_F(ProtocolTest, SetupArgumentWithoutConfigureRejected) {
+TEST_F(ProtocolTest, RetiredOpcodeGetsErrorProtocol) {
+  // ConfigureCall (40), SetupArgument (41) and OffloadConnection (60) are
+  // retired: a Launch frame is self-contained. Their numbers get the
+  // default answer for an unknown op.
   auto ch = connect_raw();
-  WireWriter w;
-  w.put<u8>(1);
-  w.put<u64>(7);
-  EXPECT_EQ(call(*ch, Opcode::SetupArgument, w.take()), Status::ErrorInvalidConfiguration);
+  for (const int op : {40, 41, 60}) {
+    WireWriter w;
+    w.put<u8>(1);
+    w.put<u64>(7);
+    EXPECT_EQ(call(*ch, static_cast<Opcode>(op), w.take()), Status::ErrorProtocol) << op;
+  }
 }
 
 TEST_F(ProtocolTest, RegisterFunctionNeedsValidModule) {

@@ -159,7 +159,7 @@ TEST(LocalChannel, ManyMessagesKeepOrder) {
       }
     });
     vt::Thread tx(dom, [&, a = a.get()] {
-      for (u64 i = 0; i < 500; ++i) a->send(make_msg(Opcode::SetupArgument, i));
+      for (u64 i = 0; i < 500; ++i) a->send(make_msg(Opcode::Synchronize, i));
       a->send(make_msg(Opcode::Goodbye, 0));
     });
     dom.unhold();
