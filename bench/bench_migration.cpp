@@ -25,7 +25,7 @@
 // non-gating "paged" object -- evidence that checkpoints and pre-copy
 // deltas survive page-scoped dirty tracking, not a second gate.
 //
-// Flags: --out <path>  --iters <n>  --quick  --paging
+// Flags: --out <path>  --iters <n> (at least 7)  --quick  --paging
 #include <atomic>
 #include <cstdio>
 #include <string>
@@ -133,6 +133,10 @@ int main(int argc, char** argv) {
   const std::string out = harness::parse_flags(
       argc, argv, "bench_migration", [&] { iters = 30; },
       {harness::count_flag("--iters", &iters), harness::switch_flag("--paging", &with_paging)});
+  // The migration starts after iters/3 kernels. With fewer than 7 the job
+  // finishes and disconnects while pre-copy still walks its context, so
+  // there is no committed migration to report.
+  if (iters < 7) die("--iters below 7: the job ends before its migration commits");
 
   const BenchResult r = run_migration(iters, false);
   const core::MigrationReport& rep = r.report;

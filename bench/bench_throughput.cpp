@@ -58,6 +58,7 @@ struct RunResult {
   u64 lock_contended = 0;
   u64 async_writebacks = 0;
   u64 trace_events = 0;
+  double export_wall_seconds = 0.0;  // host time spent exporting the trace JSON
 };
 
 RunResult run_mode(core::DispatchMode mode, bool async_writeback, int tenants, int iters,
@@ -101,13 +102,20 @@ RunResult run_mode(core::DispatchMode mode, bool async_writeback, int tenants, i
   result.async_writebacks = env.runtime().memory().stats().async_writebacks;
   if (obs::TraceRecorder* recorder = env.recorder()) {
     result.trace_events = recorder->size();
-    if (trace_json != nullptr) *trace_json = recorder->export_chrome_json();
+    if (trace_json != nullptr) {
+      const auto start = std::chrono::steady_clock::now();
+      *trace_json = recorder->export_chrome_json();
+      result.export_wall_seconds =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    }
   }
   return result;
 }
 
 /// One wall-clock-timed run of the sharded workload, optionally traced.
-/// Returns host seconds (the virtual makespan is trace-invariant).
+/// Returns host seconds (the virtual makespan is trace-invariant). Exporting
+/// the captured trace (--trace-out) is not part of the run: its time is
+/// left out, so every rep is a sample of what tracing costs the run.
 double run_walltimed(int tenants, int iters, bool traced, std::string* trace_json,
                      u64* trace_events) {
   const auto start = std::chrono::steady_clock::now();
@@ -115,7 +123,7 @@ double run_walltimed(int tenants, int iters, bool traced, std::string* trace_jso
                                iters, traced, trace_json);
   const auto stop = std::chrono::steady_clock::now();
   if (trace_events != nullptr) *trace_events = r.trace_events;
-  return std::chrono::duration<double>(stop - start).count();
+  return std::chrono::duration<double>(stop - start).count() - r.export_wall_seconds;
 }
 
 /// Tracing-cost smoke: best-of-`reps` wall time with tracing off vs on.

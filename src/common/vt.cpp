@@ -8,8 +8,33 @@
 
 namespace gpuvm::vt {
 
+/// One thread's wake slot: an atomic word holding at most one permit.
+/// unpark() grants the permit, park() consumes it, blocking until there is
+/// one (std::atomic::wait spins briefly, then blocks in the kernel). No mutex
+/// is involved, so a woken thread runs as soon as it is scheduled. Every
+/// unpark runs under Domain::mu_ (or, in ScaledReal mode, under the lock the
+/// owner retakes after parking), so the owner cannot exit -- detaching takes
+/// mu_ -- while its parker is being released.
+class Parker {
+ public:
+  void park() {
+    while (permit_.exchange(0, std::memory_order_acquire) == 0) {
+      permit_.wait(0, std::memory_order_relaxed);
+    }
+  }
+
+  void unpark() {
+    permit_.store(1, std::memory_order_release);
+    permit_.notify_one();
+  }
+
+ private:
+  std::atomic<i32> permit_{0};
+};
+
 namespace {
 thread_local Domain* tl_current_domain = nullptr;
+thread_local Parker tl_parker;
 }  // namespace
 
 Domain* Domain::current() { return tl_current_domain; }
@@ -72,6 +97,7 @@ Domain::ClockStats Domain::clock_stats() const {
   stats.advances = advances_.load(std::memory_order_relaxed);
   stats.events_dispatched = dispatched_.load(std::memory_order_relaxed);
   stats.sleepers_peak = sleepers_peak_.load(std::memory_order_relaxed);
+  stats.self_wakes = self_wakes_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -92,6 +118,10 @@ void Domain::sleep_until(TimePoint t) {
     if (t > current) sleep_for(t - current);
     return;
   }
+  // An instant already reached needs no lock: the mirror is exact for a
+  // running attached thread, and at most one advance stale (never ahead)
+  // for anyone else.
+  if (t <= now()) return;
   std::unique_lock lock(mu_);
   sleep_until_locked(lock, t);
 }
@@ -100,17 +130,25 @@ void Domain::sleep_until_locked(std::unique_lock<std::mutex>& lock, TimePoint t)
   assert(lock.owns_lock());
   if (t <= now_) return;
   Sleeper sleeper;
-  sleeper.deadline = t;
-  enqueue_locked(sleeper);
-  // Leave the running set; if we were the last activity, advance inline --
-  // in which case the wait below returns immediately (due already set).
-  dec_activity_locked();
-  sleeper.wake.wait(lock, [&] { return sleeper.due; });
+  sleeper.parker = &tl_parker;
+  enqueue_locked(sleeper, t);
+  block_locked(lock, sleeper);
   // The advance popped our queue entry and transferred its wake-in-flight
   // activity credit to us; we resume running with it, so net zero here.
 }
 
-void Domain::enqueue_locked(Sleeper& s) {
+void Domain::block_locked(std::unique_lock<std::mutex>& lock, Sleeper& s) {
+  // Leave the running set; if we were the last activity, advance inline --
+  // and if that advance woke us, resume without parking.
+  dec_activity_locked();
+  if (s.state == Sleeper::State::Woken) return;
+  lock.unlock();
+  s.parker->park();
+}
+
+void Domain::enqueue_locked(Sleeper& s, TimePoint t) {
+  s.deadline = std::max(t, now_);
+  s.state = Sleeper::State::Queued;
   s.seq = queue_.insert(s.deadline.count(), &s);
   const u64 population = queue_.size();
   if (population > sleepers_peak_.load(std::memory_order_relaxed)) {
@@ -148,10 +186,18 @@ void Domain::maybe_advance_locked() {
   advances_.fetch_add(1, std::memory_order_relaxed);
   dispatched_.fetch_add(due_scratch_.size(), std::memory_order_relaxed);
   activity_.fetch_add(static_cast<i64>(due_scratch_.size()), std::memory_order_relaxed);
-  for (const auto& entry : due_scratch_) {
-    entry.value->due = true;
-    entry.value->wake.notify_one();
+  for (const auto& entry : due_scratch_) wake_locked(*entry.value);
+}
+
+void Domain::wake_locked(Sleeper& s) {
+  s.state = Sleeper::State::Woken;
+  if (s.parker == &tl_parker) {
+    // Our own sleeper, popped by our own advance inside block_locked: it
+    // resumes inline, so there is nothing to release.
+    self_wakes_.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
+  s.parker->unpark();
 }
 
 void Domain::dec_activity() {
@@ -241,14 +287,11 @@ bool Alarm::wait_until(TimePoint t) {
     return false;
   }
   if (t <= dom_->now_) return true;
-  Domain::Sleeper sleeper;
-  sleeper.deadline = t;
-  dom_->enqueue_locked(sleeper);
-  parked_ = &sleeper;
-  dom_->dec_activity_locked();
-  sleeper.wake.wait(lock, [&] { return sleeper.due; });
-  parked_ = nullptr;
-  return !sleeper.cancelled;
+  sleeper_.parker = &tl_parker;
+  sleeper_.cancelled = false;
+  dom_->enqueue_locked(sleeper_, t);
+  dom_->block_locked(lock, sleeper_);
+  return !sleeper_.cancelled;
 }
 
 void Alarm::cancel() {
@@ -259,19 +302,41 @@ void Alarm::cancel() {
     return;
   }
   std::scoped_lock lock(dom_->mu_);
-  if (parked_ == nullptr) {
+  if (sleeper_.state != Domain::Sleeper::State::Queued) {
     pending_cancel_ = true;  // latch for the next wait_until
     return;
   }
-  Domain::Sleeper* s = parked_;
-  if (s->due) return;  // deadline wake already delivered; waiter is resuming
   // Substitute for the advance: pull the sleeper out of the queue, hand it a
   // wake-in-flight activity credit, and wake it at the *current* instant.
-  dom_->queue_.erase(s->deadline.count(), s->seq);
-  s->due = true;
-  s->cancelled = true;
+  dom_->queue_.erase(sleeper_.deadline.count(), sleeper_.seq);
+  sleeper_.cancelled = true;
   dom_->activity_.fetch_add(1, std::memory_order_relaxed);
-  s->wake.notify_one();
+  dom_->wake_locked(sleeper_);
+}
+
+// ---- Waiter -----------------------------------------------------------------
+
+Waiter::Waiter(Domain& dom) : dom_(&dom) { sleeper_.parker = &tl_parker; }
+
+void Waiter::park() {
+  if (dom_->mode() == Mode::ScaledReal) {
+    sleeper_.parker->park();
+    return;
+  }
+  std::unique_lock lock(dom_->mu_);
+  dom_->block_locked(lock, sleeper_);
+}
+
+void Waiter::wake_at(TimePoint t) {
+  if (dom_->mode() == Mode::ScaledReal) {
+    sleeper_.parker->unpark();
+    return;
+  }
+  std::scoped_lock lock(dom_->mu_);
+  dom_->enqueue_locked(sleeper_, t);
+  // An unattached waker may find the domain quiescent (every attached
+  // thread idle or asleep): advance now, as the last thread to block would.
+  dom_->maybe_advance_locked();
 }
 
 // ---- Thread / guards / ConditionVariable ------------------------------------

@@ -9,9 +9,11 @@
 // Model: a set of OS threads attach to a Domain. At any instant each
 // attached thread is in exactly one of three states:
 //   - running:  executing real code (takes zero virtual time),
-//   - sleeping: inside Domain::sleep_for/sleep_until (takes virtual time),
-//   - idle:     blocked in a vt::ConditionVariable wait (waiting for another
-//               thread's notification; takes however long that takes).
+//   - sleeping: inside Domain::sleep_for/sleep_until, or scheduled to wake
+//               at a known instant (takes virtual time),
+//   - idle:     blocked in a vt::ConditionVariable wait or a vt::Waiter
+//               park (waiting for another thread; takes however long that
+//               takes).
 // The clock advances conservatively: only when no thread is running and no
 // notification is still in flight does the Domain jump the clock to the
 // earliest pending deadline and wake the corresponding sleepers. This is a
@@ -26,6 +28,15 @@
 // wheel (common/calendar_queue.hpp), amortized O(1) per sleep. It pops
 // same-deadline sleepers in (deadline, seq) order, seq being the insertion
 // counter, so same-instant wakeups are released in the order they slept.
+//
+// One wake per hand-off: every thread owns a parker (an atomic word holding at
+// most one wake permit). A sleeper records its thread's parker; the advance
+// releases it, and the woken thread resumes without touching the domain
+// mutex. When the advancing thread pops its own sleeper -- a lone runner,
+// the common case -- it returns inline and never parks. A vt::Waiter is the
+// same sleeper scheduled by another thread: a channel receiver parks idle on
+// an empty pipe, and the send makes it a sleeper due at the message's
+// delivery instant, so the receiver is woken once, when the message lands.
 //
 // For simulations with very many logical actors (thousands of tenants,
 // millions of jobs) a thread per actor stops scaling; vt::TaskRunner
@@ -84,6 +95,8 @@ enum class Mode {
 
 class ConditionVariable;
 class Alarm;
+class Waiter;
+class Parker;  // a thread's wake slot (vt.cpp)
 
 class Domain {
  public:
@@ -92,6 +105,7 @@ class Domain {
     u64 advances = 0;           ///< quiescence advances performed
     u64 events_dispatched = 0;  ///< sleepers woken + task callbacks executed
     u64 sleepers_peak = 0;      ///< peak concurrent sleeper-queue population
+    u64 self_wakes = 0;  ///< woken sleepers the advancing thread resumed inline (no park)
   };
 
   explicit Domain(Mode mode = Mode::Virtual, double real_scale = 1e-3);
@@ -151,13 +165,17 @@ class Domain {
   friend class ConditionVariable;
   friend class IdleGuard;
   friend class Alarm;
+  friend class Waiter;
 
+  // One wake of one thread. Guarded by mu_ (the owner reads `cancelled`
+  // after its parker is released, which orders it after the write).
   struct Sleeper {
+    enum class State : u8 { Idle, Queued, Woken };
     TimePoint deadline{};
-    u64 seq = 0;          // assigned by queue_ at insert (erase key)
-    std::condition_variable wake;
-    bool due = false;       // set by the advancing thread before notifying
-    bool cancelled = false; // set by Alarm::cancel instead of the advance
+    u64 seq = 0;               // assigned by queue_ at insert (erase key)
+    Parker* parker = nullptr;  // the owning thread's; released at the wake
+    State state = State::Idle;
+    bool cancelled = false;    // set by Alarm::cancel instead of the advance
   };
 
   // ---- Quiescence accounting -------------------------------------------------
@@ -184,16 +202,28 @@ class Domain {
   std::atomic<u64> advances_{0};
   std::atomic<u64> dispatched_{0};
   std::atomic<u64> sleepers_peak_{0};
+  std::atomic<u64> self_wakes_{0};
 
   void sleep_until_locked(std::unique_lock<std::mutex>& lock, TimePoint t);
 
-  // Called with mu_ held: queues `s` (assigning its seq) and tracks the
-  // peak sleeper population.
-  void enqueue_locked(Sleeper& s);
+  // Called with mu_ held: queues `s` due at `t` (at least now_), assigning
+  // its seq, and tracks the peak sleeper population.
+  void enqueue_locked(Sleeper& s, TimePoint t);
+
+  // Called with mu_ held by the thread owning `s` (queued, or about to be
+  // queued by a Waiter's waker): leaves the running set, which may advance
+  // the clock inline, then returns once `s` is woken -- at once when that
+  // inline advance woke it (self-wake), else after parking with mu_
+  // released.
+  void block_locked(std::unique_lock<std::mutex>& lock, Sleeper& s);
 
   // Called with mu_ held. If the domain is quiescent, advances the clock to
   // the earliest deadline and wakes the due sleepers (popping them).
   void maybe_advance_locked();
+
+  // Called with mu_ held: marks popped sleeper `s` woken and releases its
+  // parker, unless `s` belongs to the calling thread (self-wake).
+  void wake_locked(Sleeper& s);
 
   // activity_ decrements; an observed drop to zero triggers an advance.
   void dec_activity();         // takes mu_ only on the zero transition
@@ -268,10 +298,10 @@ class ConditionVariable {
 /// in wait_until() at a time; any thread may cancel(). The primitive event
 /// pumps need -- a deadline sleep that a cross-thread post can interrupt.
 ///
-/// cancel() latches: if no wait is in progress, the *next* wait_until
-/// returns false immediately. A cancel that lands after the deadline wake
-/// was already delivered is dropped (the waiter is about to recheck its
-/// work queue anyway).
+/// cancel() latches: unless a wait is parked on its deadline, the *next*
+/// wait_until returns false immediately. That includes a cancel landing
+/// after the deadline wake was delivered but before the waiter returned;
+/// the waiter's next wait then returns at once, at the same instant.
 class Alarm {
  public:
   explicit Alarm(Domain& dom) : dom_(&dom) {}
@@ -291,10 +321,38 @@ class Alarm {
  private:
   Domain* dom_;
   // Virtual mode: guarded by dom_->mu_. ScaledReal mode: guarded by real_mu_.
-  Domain::Sleeper* parked_ = nullptr;
+  Domain::Sleeper sleeper_;  // Queued while a wait is parked on its deadline
   bool pending_cancel_ = false;
   std::mutex real_mu_;
   std::condition_variable real_cv_;
+};
+
+/// One idle wait that the waking thread ends at an instant it names: the
+/// primitive behind a channel receiver. The owning (attached) thread
+/// constructs it, which binds its parker, publishes it under a lock of its
+/// own and calls park(). Another thread calls wake_at() exactly once, under
+/// that same lock: the owner becomes a sleeper due at max(t, now), so it is
+/// woken once, by the clock, at the instant it must resume. wake_at may
+/// come before park(); the owner then parks (or wakes itself) as usual.
+///
+/// ScaledReal mode has no sleeper queue: wake_at releases the owner at once
+/// and the owner waits out the remaining time itself.
+class Waiter {
+ public:
+  explicit Waiter(Domain& dom);
+
+  Waiter(const Waiter&) = delete;
+  Waiter& operator=(const Waiter&) = delete;
+
+  /// Owner only: idle until woken at the instant wake_at named.
+  void park();
+
+  /// Any thread, once: schedule the owner's wake at `t` (clamped to now).
+  void wake_at(TimePoint t);
+
+ private:
+  Domain* dom_;
+  Domain::Sleeper sleeper_;
 };
 
 /// RAII thread that attaches to a Domain for its whole body and joins on

@@ -1,6 +1,7 @@
 #include "transport/channel.hpp"
 
 #include <atomic>
+#include <cassert>
 #include <deque>
 #include <mutex>
 
@@ -65,11 +66,15 @@ u64 next_channel_tid() {
   return obs::kChannelTidBase + g_channel_serial.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// State shared by both endpoints: one costed queue per direction.
+/// State shared by both endpoints: one costed queue per direction, read by
+/// one receiving thread at a time. A receiver that finds the queue empty
+/// parks idle; the send that fills it schedules the receiver's wake at that
+/// message's delivery instant, so the receiver is woken exactly once, when
+/// the message lands.
 class Pipe {
  public:
   Pipe(vt::Domain& dom, ChannelCosts costs)
-      : dom_(&dom), costs_(costs), cv_(dom), trace_tid_(next_channel_tid()) {}
+      : dom_(&dom), costs_(costs), trace_tid_(next_channel_tid()) {}
 
   bool send(Message msg) {
     messages_sent_counter().add(1);
@@ -98,19 +103,35 @@ class Pipe {
     }
     std::unique_lock lk(mu_);
     if (closed_) return false;
-    items_.push_back(Entry{std::move(msg), dom_->now(), dom_->now() + transit});
-    cv_.notify_one();
+    const vt::TimePoint now = dom_->now();
+    items_.push_back(Entry{std::move(msg), now, now + transit});
+    if (parked_ != nullptr) {
+      // The receiver parked on an empty queue, so this message is the head:
+      // it now belongs to the receiver, due at its delivery instant.
+      parked_->wake_at(now + transit);
+      parked_ = nullptr;
+      head_claimed_ = true;
+    }
     return true;
   }
 
   std::optional<Message> receive() {
     std::unique_lock lk(mu_);
-    cv_.wait(lk, [&] { return !items_.empty() || closed_; });
+    if (items_.empty() && !closed_) {
+      assert(parked_ == nullptr && "one receiving thread per pipe");
+      vt::Waiter waiter(*dom_);
+      parked_ = &waiter;
+      lk.unlock();
+      waiter.park();  // woken by the send at delivery, or by close()
+      lk.lock();
+    }
     if (items_.empty()) return std::nullopt;
     Entry entry = std::move(items_.front());
     items_.pop_front();
+    head_claimed_ = false;
     lk.unlock();
-    // Model transit: the message is visible only once its latency elapsed.
+    // Model transit: the message is visible only once its latency elapsed
+    // (already so when the receiver parked for it).
     dom_->sleep_until(entry.deliver_at);
     // Stamped with the *receiving* thread's trace context: transit time is
     // part of whichever causal chain consumes the message.
@@ -122,7 +143,10 @@ class Pipe {
   void close() {
     std::unique_lock lk(mu_);
     closed_ = true;
-    cv_.notify_all();
+    if (parked_ != nullptr) {
+      parked_->wake_at(vt::kTimeZero);  // clamped to the current instant
+      parked_ = nullptr;
+    }
   }
 
   bool closed() const {
@@ -130,9 +154,11 @@ class Pipe {
     return closed_;
   }
 
+  /// Messages queued and not yet claimed by a receiver scheduled for them
+  /// (the claimed head is in the receiver's hands, as if already read).
   bool has_items() const {
     std::unique_lock lk(mu_);
-    return !items_.empty();
+    return items_.size() > (head_claimed_ ? 1u : 0u);
   }
 
  private:
@@ -154,10 +180,11 @@ class Pipe {
   vt::Domain* dom_;
   ChannelCosts costs_;
   mutable std::mutex mu_;
-  vt::ConditionVariable cv_;
   const u64 trace_tid_;
   std::atomic<u64> send_seq_{0};  // per-stream attempt counter (fault hashing)
   std::deque<Entry> items_;
+  vt::Waiter* parked_ = nullptr;  // receiver parked on the empty queue, unscheduled
+  bool head_claimed_ = false;     // items_.front() is what the scheduled receiver wakes for
   bool closed_ = false;
 };
 

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <thread>
 #include <vector>
 
 #include "common/queue.hpp"
@@ -166,6 +168,178 @@ TEST(LocalChannel, ManyMessagesKeepOrder) {
   }
   ASSERT_EQ(seen.size(), 500u);
   for (u64 i = 0; i < 500; ++i) EXPECT_EQ(seen[i], i);
+}
+
+// A receiver parked on an empty pipe is scheduled by the send for the
+// message's delivery instant and woken once, then; a busy receiver finds
+// the message queued and waits out whatever transit remains.
+
+TEST(LocalChannel, ParkedReceiverGetsMessageAtExactlySendPlusLatency) {
+  vt::Domain dom;
+  const vt::Duration latency = vt::from_micros(20);
+  auto [a, b] = make_local_pair(dom, ChannelCosts{latency, 0.0});
+  vt::TimePoint delivered{};
+  {
+    dom.hold();
+    vt::Thread rx(dom, [&, b = b.get()] {
+      (void)b->receive();  // parks at t=0: the sender's sleep needs it idle
+      delivered = dom.now();
+    });
+    vt::Thread tx(dom, [&, a = a.get()] {
+      dom.sleep_for(vt::from_millis(1));
+      a->send(make_msg(Opcode::Hello, 1));
+    });
+    dom.unhold();
+  }
+  EXPECT_EQ(delivered, vt::from_millis(1) + latency);
+}
+
+TEST(LocalChannel, BusyReceiverGetsMessageAtExactlySendPlusLatency) {
+  vt::Domain dom;
+  const vt::Duration latency = vt::from_micros(100);
+  auto [a, b] = make_local_pair(dom, ChannelCosts{latency, 0.0});
+  vt::TimePoint delivered{};
+  {
+    dom.hold();
+    vt::Thread rx(dom, [&, b = b.get()] {
+      dom.sleep_for(vt::from_micros(1050));  // busy across the send at 1 ms
+      (void)b->receive();
+      delivered = dom.now();
+    });
+    vt::Thread tx(dom, [&, a = a.get()] {
+      dom.sleep_for(vt::from_millis(1));
+      a->send(make_msg(Opcode::Hello, 1));
+    });
+    dom.unhold();
+  }
+  EXPECT_EQ(delivered, vt::from_millis(1) + latency);
+}
+
+TEST(LocalChannel, ZeroLatencyDeliversAtTheSendInstant) {
+  vt::Domain dom;
+  auto [a, b] = make_local_pair(dom);
+  vt::TimePoint delivered{};
+  {
+    dom.hold();
+    vt::Thread rx(dom, [&, b = b.get()] {
+      (void)b->receive();
+      delivered = dom.now();
+    });
+    vt::Thread tx(dom, [&, a = a.get()] {
+      dom.sleep_for(vt::from_millis(2));
+      a->send(make_msg(Opcode::Hello, 1));
+      dom.sleep_for(vt::from_millis(5));  // the receiver resumes before this ends
+    });
+    dom.unhold();
+  }
+  EXPECT_EQ(delivered, vt::from_millis(2));
+}
+
+TEST(LocalChannel, CloseWakesParkedReceiverAtTheCloseInstant) {
+  vt::Domain dom;
+  auto [a, b] = make_local_pair(dom, ChannelCosts{vt::from_micros(20), 0.0});
+  bool got_null = false;
+  vt::TimePoint woke{};
+  {
+    dom.hold();
+    vt::Thread rx(dom, [&, b = b.get()] {
+      got_null = !b->receive().has_value();
+      woke = dom.now();
+    });
+    vt::Thread closer(dom, [&, a = a.get()] {
+      dom.sleep_for(vt::from_millis(3));
+      a->close();
+    });
+    dom.unhold();
+  }
+  EXPECT_TRUE(got_null);
+  EXPECT_EQ(woke, vt::from_millis(3));  // not 3 ms + latency
+}
+
+TEST(LocalChannel, InTransitMessageForParkedReceiverIsNotPending) {
+  // The head message a parked receiver was scheduled for is already in its
+  // hands; only messages queued behind it count as pending.
+  vt::Domain dom;
+  auto [a, b] = make_local_pair(dom, ChannelCosts{vt::from_micros(100), 0.0});
+  bool pending_after_first = true;
+  bool pending_after_second = false;
+  int received = 0;
+  {
+    dom.hold();
+    vt::Thread rx(dom, [&, b = b.get()] {
+      while (b->receive()) ++received;
+    });
+    vt::Thread tx(dom, [&, a = a.get(), b = b.get()] {
+      dom.sleep_for(vt::from_millis(1));  // the receiver is parked by now
+      a->send(make_msg(Opcode::Hello, 1));
+      pending_after_first = b->pending();
+      a->send(make_msg(Opcode::Hello, 2));
+      pending_after_second = b->pending();
+      dom.sleep_for(vt::from_millis(1));
+      a->close();
+    });
+    dom.unhold();
+  }
+  EXPECT_FALSE(pending_after_first);
+  EXPECT_TRUE(pending_after_second);
+  EXPECT_EQ(received, 2);
+}
+
+TEST(LocalChannel, UnattachedSendAndCloseWakeAttachedReceiver) {
+  // The test's main thread is outside the domain: its send schedules the
+  // parked receiver, and with every attached thread idle it also advances
+  // the clock to the delivery instant.
+  vt::Domain dom;
+  const vt::Duration latency = vt::from_micros(20);
+  auto [a, b] = make_local_pair(dom, ChannelCosts{latency, 0.0});
+  std::atomic<bool> first_received{false};
+  std::optional<Message> got;
+  bool got_null = false;
+  vt::TimePoint delivered{-1};
+  {
+    vt::Thread rx(dom, [&, b = b.get()] {
+      got = b->receive();
+      delivered = dom.now();
+      first_received.store(true);
+      got_null = !b->receive().has_value();
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));  // usually parked by now
+    ASSERT_TRUE(a->send(make_msg(Opcode::Hello, 7)));
+    while (!first_received.load()) std::this_thread::yield();
+    a->close();
+  }
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->connection.value, 7u);
+  EXPECT_EQ(delivered, latency);
+  EXPECT_TRUE(got_null);
+}
+
+TEST(LocalChannel, ScaledRealRoundTrip) {
+  // The mode gpuvmd, gpuvm_run and gpuvm_top run in: no sleeper queue, the
+  // receiver is released at the send and sleeps the transit for real.
+  vt::Domain dom(vt::Mode::ScaledReal, /*real_scale=*/1e-3);
+  auto [a, b] = make_local_pair(dom, ChannelCosts{vt::from_micros(200), 0.0});
+  std::optional<Message> request;
+  std::optional<Message> reply;
+  vt::TimePoint sent{};
+  vt::TimePoint replied{};
+  {
+    vt::Thread server(dom, [&, b = b.get()] {
+      request = b->receive();
+      b->send(make_msg(Opcode::Reply, 3));
+    });
+    vt::Thread client(dom, [&, a = a.get()] {
+      sent = dom.now();
+      a->send(make_msg(Opcode::Hello, 3));
+      reply = a->receive();
+      replied = dom.now();
+    });
+  }
+  ASSERT_TRUE(request.has_value());
+  EXPECT_EQ(request->op, Opcode::Hello);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->op, Opcode::Reply);
+  EXPECT_GE(replied - sent, vt::from_micros(400));  // two 200 us hops
 }
 
 class UnixSocketTest : public ::testing::Test {

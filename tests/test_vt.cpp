@@ -1,6 +1,7 @@
 // Tests for the virtual-time threading substrate (common/vt.hpp): the
 // quiescence clock over its calendar sleeper queue, the calendar queue
-// itself, the cancellable Alarm, and the ScaledReal cross-check.
+// itself, the per-thread parker's self-wake path, the cancellable Alarm,
+// the Waiter a channel receiver parks on, and the ScaledReal cross-check.
 #include "common/vt.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <atomic>
 #include <map>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/calendar_queue.hpp"
@@ -538,6 +540,18 @@ TEST(VtCalendarClock, ClockStatsCountAdvancesAndWakes) {
   EXPECT_EQ(stats.sleepers_peak, 1u);
 }
 
+TEST(VtParker, LoneSleeperWakesItselfWithoutParking) {
+  // The only attached thread runs every advance itself and pops its own
+  // sleeper each time: it resumes inline, its parker never released.
+  Domain dom;
+  AttachGuard guard(dom);
+  for (int i = 0; i < 100; ++i) dom.sleep_for(from_micros(10));
+  EXPECT_EQ(dom.now(), from_millis(1));
+  const Domain::ClockStats stats = dom.clock_stats();
+  EXPECT_EQ(stats.events_dispatched, 100u);
+  EXPECT_EQ(stats.self_wakes, 100u);
+}
+
 TEST(VtCalendarClock, StressManyThreadsHorizonCrossingSleeps) {
   // TSan target: concurrent sleeps whose durations are scattered across the
   // wheel ring, the overflow map, and same-instant collisions.
@@ -620,6 +634,39 @@ TEST(VtAlarm, CancelWhileParkedWakesAtCancelInstant) {
   EXPECT_EQ(dom.now(), from_millis(2));
 }
 
+TEST(VtAlarm, CancelFromUnattachedThreadWakesAtCancelInstantAndRearms) {
+  // The canceller is the test's main thread, outside the domain; its hold
+  // keeps the clock at zero until the cancel is in. The same alarm then
+  // runs a full wait to its next deadline.
+  Domain dom;
+  Alarm alarm(dom);
+  std::atomic<bool> waiting{false};
+  bool first = true;
+  bool second = false;
+  TimePoint cancelled_at{-1};
+  TimePoint rearmed_at{};
+  {
+    dom.hold();
+    Thread waiter(dom, [&] {
+      waiting.store(true);
+      first = alarm.wait_until(from_seconds(50));
+      cancelled_at = dom.now();
+      second = alarm.wait_until(cancelled_at + from_millis(2));
+      rearmed_at = dom.now();
+    });
+    while (!waiting.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));  // usually parked by now
+    // Latched (the wait had not parked yet) or erased from the queue (it
+    // had): either way the first wait returns false at the cancel instant.
+    alarm.cancel();
+    dom.unhold();
+  }
+  EXPECT_FALSE(first);
+  EXPECT_EQ(cancelled_at, kTimeZero);
+  EXPECT_TRUE(second);
+  EXPECT_EQ(rearmed_at, from_millis(2));
+}
+
 TEST(VtAlarm, ScaledRealDeadlineAndLatchedCancel) {
   Domain dom(Mode::ScaledReal, /*real_scale=*/1e-6);
   AttachGuard guard(dom);
@@ -661,6 +708,93 @@ TEST(VtAlarm, StressWaitCancelRaces) {
     dom.unhold();
   }
   EXPECT_EQ(cancelled + reached, 200);
+}
+
+// ---------------------------------------------------------------------------
+// Waiter: an idle park that another thread ends at an instant it names.
+
+TEST(VtWaiter, WakeAtWakesParkedOwnerAtTheNamedInstant) {
+  Domain dom;
+  std::atomic<Waiter*> published{nullptr};
+  TimePoint woke{};
+  {
+    dom.hold();
+    Thread owner(dom, [&] {
+      Waiter waiter(dom);
+      published.store(&waiter);
+      waiter.park();
+      woke = dom.now();
+    });
+    Thread waker(dom, [&] {
+      dom.sleep_for(from_millis(1));  // the clock moves only once the owner parked
+      Waiter* w = published.load();
+      ASSERT_NE(w, nullptr);
+      w->wake_at(dom.now() + from_millis(5));
+    });
+    dom.unhold();
+  }
+  EXPECT_EQ(woke, from_millis(6));
+  EXPECT_EQ(dom.now(), from_millis(6));
+}
+
+TEST(VtWaiter, WakeBeforeParkResumesInlineAtTheInstant) {
+  // wake_at may land before park(): the owner is then a queued sleeper
+  // when it blocks, and as the lone thread it pops itself (self-wake).
+  Domain dom;
+  AttachGuard guard(dom);
+  Waiter waiter(dom);
+  waiter.wake_at(from_millis(3));
+  waiter.park();
+  EXPECT_EQ(dom.now(), from_millis(3));
+  EXPECT_EQ(dom.clock_stats().self_wakes, 1u);
+}
+
+TEST(VtWaiter, PastInstantClampsToNow) {
+  Domain dom;
+  AttachGuard guard(dom);
+  dom.sleep_for(from_millis(2));
+  Waiter waiter(dom);
+  waiter.wake_at(kTimeZero);
+  waiter.park();
+  EXPECT_EQ(dom.now(), from_millis(2));
+}
+
+TEST(VtWaiter, UnattachedWakerAdvancesAQuiescentDomain) {
+  // Every attached thread is idle when the unattached waker schedules the
+  // owner: the waker must run the advance itself.
+  Domain dom;
+  std::atomic<Waiter*> published{nullptr};
+  TimePoint woke{};
+  {
+    Thread owner(dom, [&] {
+      Waiter waiter(dom);
+      published.store(&waiter);
+      waiter.park();
+      woke = dom.now();
+    });
+    Waiter* w = nullptr;
+    while ((w = published.load()) == nullptr) std::this_thread::yield();
+    w->wake_at(from_millis(7));
+  }
+  EXPECT_EQ(woke, from_millis(7));
+}
+
+TEST(VtWaiter, ScaledRealWakeReleasesTheOwner) {
+  Domain dom(Mode::ScaledReal, /*real_scale=*/1e-6);
+  std::atomic<Waiter*> published{nullptr};
+  std::atomic<bool> woke{false};
+  {
+    Thread owner(dom, [&] {
+      Waiter waiter(dom);
+      published.store(&waiter);
+      waiter.park();
+      woke.store(true);
+    });
+    Waiter* w = nullptr;
+    while ((w = published.load()) == nullptr) std::this_thread::yield();
+    w->wake_at(dom.now());
+  }
+  EXPECT_TRUE(woke.load());
 }
 
 }  // namespace
